@@ -2,9 +2,10 @@
 //!
 //! Two layers:
 //!
-//! * Criterion smoke benches (stdout): raw discrete-event churn through
-//!   [`Simulation`], and a short fleet run with the zero-cost [`NullSink`]
-//!   vs a recording [`RingBufferSink`] — the tracing overhead comparison.
+//! * Criterion smoke benches (stdout): raw discrete-event churn of typed
+//!   events through [`Simulation`], and a short fleet run with the
+//!   zero-cost [`NullSink`] vs a recording [`RingBufferSink`] — the tracing
+//!   overhead comparison.
 //! * A perf-trajectory writer: the same workloads timed directly
 //!   (best-of-5 wall clock) and persisted as events-per-second figures to
 //!   `BENCH_engine_events.json` at the workspace root, so the repo carries
@@ -21,7 +22,7 @@
 
 use criterion::{black_box, Criterion};
 use serde::Serialize;
-use sizeless_engine::{QueueKind, SimDuration, SimTime, Simulation};
+use sizeless_engine::{QueueKind, SimDuration, SimEvent, SimTime, Simulation};
 use sizeless_fleet::{
     Fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
 };
@@ -35,20 +36,30 @@ const CHAINS: usize = 16;
 /// Virtual horizon of the raw churn workload, ms (1 ms steps per chain).
 const HORIZON_MS: u64 = 2_000;
 
+/// One link of a raw churn chain: counts itself and reschedules 1 ms later
+/// until the horizon.
+#[derive(Clone, Copy)]
+struct Tick;
+
+/// Events fired so far by the raw churn workload.
+struct Tally(u64);
+
+impl SimEvent<Tally> for Tick {
+    fn fire(self, sim: &mut Simulation<Tally, Tick>, state: &mut Tally) {
+        state.0 += 1;
+        if sim.now() < SimTime::from_millis(HORIZON_MS as f64) {
+            sim.schedule_event_in(SimDuration::from_millis(1.0), Tick);
+        }
+    }
+}
+
 /// Runs `CHAINS` self-rescheduling 1 ms event chains to `HORIZON_MS` and
 /// returns the number of events executed.
 fn raw_engine_churn() -> u64 {
-    struct Tally(u64);
-    fn tick(sim: &mut Simulation<Tally>, state: &mut Tally) {
-        state.0 += 1;
-        if sim.now() < SimTime::from_millis(HORIZON_MS as f64) {
-            sim.schedule_in(SimDuration::from_millis(1.0), tick);
-        }
-    }
-    let mut sim: Simulation<Tally> = Simulation::new();
+    let mut sim: Simulation<Tally, Tick> = Simulation::new();
     let mut state = Tally(0);
     for chain in 0..CHAINS {
-        sim.schedule_at(SimTime::from_millis(chain as f64 / CHAINS as f64), tick);
+        sim.schedule_event_at(SimTime::from_millis(chain as f64 / CHAINS as f64), Tick);
     }
     sim.run_to_completion(&mut state);
     assert_eq!(state.0, sim.stats().executed);

@@ -33,7 +33,7 @@ use sizeless_fleet::{
     run_fleet, run_rightsized_fleet, Fleet, FleetArrival, FleetConfig, FleetFunction, FleetReport,
     KeepAliveKind, SchedulerKind,
 };
-use sizeless_obs::MemorySink;
+use sizeless_obs::{trace_metrics, MemorySink};
 use sizeless_platform::{
     FunctionConfig, MemorySize, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage,
 };
@@ -307,9 +307,9 @@ fn main() {
     }
 
     // `--trace` / `--metrics`: replay the first Poisson closed-loop run
-    // with a recording sink and a metrics registry attached. The
-    // instrumentation must not perturb the simulation: the traced replay
-    // has to reproduce the untraced report bit for bit, or we abort.
+    // with a recording sink; the metrics snapshot is a fold of that trace.
+    // Tracing must not perturb the simulation: the traced replay has to
+    // reproduce the untraced report bit for bit, or we abort.
     if ctx.trace.is_some() || ctx.metrics.is_some() {
         let config = FleetConfig::new(8, 8192.0, duration_ms, ctx.seed);
         let fns = functions(false);
@@ -322,31 +322,28 @@ fn main() {
             KeepAliveKind::Adaptive.build(fns.len(), default_ttl),
         )
         .with_sizing(SizingService::new(sizer.clone(), service_cfg))
-        .with_metrics()
         .with_trace(MemorySink::new());
         let mut sim = Simulation::new();
         fleet.prime(&mut sim);
         sim.run_to_completion(&mut fleet);
-        let snapshot = fleet
-            .metrics()
-            .map(|m| m.snapshot_json(sim.now().as_millis()));
+        let end_ms = sim.now().as_millis();
         let (report, sink) = fleet.into_report_and_sink(&sim);
         assert_eq!(
             report, rows[0].rightsized_report,
             "tracing perturbed the closed-loop run"
         );
-        if let Some(path) = &ctx.trace {
+        let write = |path: &std::path::Path, contents: String| {
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).expect("create trace dir");
+                std::fs::create_dir_all(dir).expect("create output dir");
             }
-            std::fs::write(path, sink.to_jsonl()).expect("write trace");
+            std::fs::write(path, contents).expect("write output file");
+        };
+        if let Some(path) = &ctx.trace {
+            write(path, sink.to_jsonl());
             eprintln!("[trace] wrote {} events to {}", sink.len(), path.display());
         }
-        if let (Some(path), Some(snapshot)) = (&ctx.metrics, snapshot) {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).expect("create metrics dir");
-            }
-            std::fs::write(path, snapshot).expect("write metrics snapshot");
+        if let Some(path) = &ctx.metrics {
+            write(path, trace_metrics(sink.records()).snapshot_json(end_ms));
             eprintln!("[metrics] wrote {}", path.display());
         }
     }

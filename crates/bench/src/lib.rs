@@ -19,9 +19,9 @@
 //! * `--trace <path>` — write a structured JSONL trace of the run (one
 //!   deterministic, virtual-time-stamped event per line, byte-identical
 //!   across replays and thread counts);
-//! * `--metrics <path>` — write a metrics-registry JSON snapshot (monotone
-//!   counters plus log-scale latency histograms) taken at the end of the
-//!   run's virtual clock.
+//! * `--metrics <path>` — write a metrics-registry JSON snapshot (the
+//!   trace folded into per-event counters plus a cold-start `init_ms`
+//!   histogram) stamped with the end of the run's virtual clock.
 //!
 //! Binaries print paper-style tables to stdout and persist JSON into the
 //! results directory so `EXPERIMENTS.md` numbers are regenerable.

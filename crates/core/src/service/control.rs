@@ -60,11 +60,6 @@ impl PlaneHandle {
         self.base
     }
 
-    /// Activity tallies of the plane behind this handle so far.
-    pub(super) fn stats(&self) -> PlaneStats {
-        self.state.borrow().stats
-    }
-
     /// Serves one recommendation from the current artifact.
     pub(super) fn recommend(&self, metrics: &MetricVector) -> Recommendation {
         let mut state = self.state.borrow_mut();
@@ -77,8 +72,10 @@ impl PlaneHandle {
         self.state.borrow().sizer.clone()
     }
 
-    /// Routes one post-resize observation to the adaptation policy.
-    pub(super) fn observe(&self, observation: OnlineObservation) {
+    /// Routes one post-resize observation to the adaptation policy and
+    /// returns the plane's new artifact-update total if it updated the
+    /// artifact.
+    pub(super) fn observe(&self, observation: OnlineObservation) -> Option<usize> {
         let mut state = self.state.borrow_mut();
         let PlaneState {
             sizer,
@@ -86,9 +83,11 @@ impl PlaneHandle {
             stats,
         } = &mut *state;
         stats.observations += 1;
-        if adaptation.observe(sizer, observation) {
-            stats.artifact_updates += 1;
+        if !adaptation.observe(sizer, observation) {
+            return None;
         }
+        stats.artifact_updates += 1;
+        Some(stats.artifact_updates)
     }
 }
 
@@ -227,11 +226,12 @@ mod tests {
             TrainingDataset::generate(&Platform::aws_like(), &DatasetConfig::tiny(12));
         let metrics = dataset.records[0].metrics_at(plane.base()).clone();
         let observed_ms = metrics.mean_execution_time_ms();
-        a.plane().observe(OnlineObservation {
+        let updated = a.plane().observe(OnlineObservation {
             metrics,
             directed: sizeless_platform::MemorySize::MB_1024,
             observed_ms,
         });
+        assert_eq!(updated, Some(1), "observe reports the plane's new update total");
         let stats = plane.stats();
         assert_eq!(stats.observations, 1);
         assert_eq!(stats.artifact_updates, 1);

@@ -165,6 +165,25 @@ pub enum RouteDecision {
     Shadow(MemorySize),
 }
 
+/// What one [`SizingService::ingest_masked`] call did: the directive plus
+/// the loop transitions it made, reported explicitly so the embedding
+/// layer can trace each one where it happens.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct IngestOutcome {
+    /// The resize directive to apply, if any.
+    pub directive: Option<SizingDirective>,
+    /// A drift check confirmed a shift.
+    pub drift_detected: bool,
+    /// ...and the detection was suppressed by the fault mask.
+    pub drift_suppressed: bool,
+    /// The `(from, to)` phase change of a function that already had state
+    /// (a function's first entry into `Measuring` is not a transition).
+    pub transition: Option<(FnPhase, FnPhase)>,
+    /// The plane's new artifact-update total, when this call's feedback
+    /// updated the shared artifact.
+    pub artifact_updates: Option<usize>,
+}
+
 /// Running tallies of the service's activity, serializable for reports.
 ///
 /// The `entered_*` counters are **cumulative phase transitions** (including
@@ -250,6 +269,19 @@ impl FnState {
             shadow_period: 0,
             shadow_seq: 0,
         }
+    }
+
+    /// Moves to phase `to`, tallying the entry, and returns the change.
+    fn enter(&mut self, to: FnPhase, stats: &mut ServiceStats) -> (FnPhase, FnPhase) {
+        let from = self.phase;
+        self.phase = to;
+        match to {
+            FnPhase::Measuring => stats.entered_measuring += 1,
+            FnPhase::Referencing => stats.entered_referencing += 1,
+            FnPhase::Watching => stats.entered_watching += 1,
+            FnPhase::Shadowing => stats.entered_shadowing += 1,
+        }
+        (from, to)
     }
 }
 
@@ -338,13 +370,6 @@ impl SizingService {
         &self.stats
     }
 
-    /// Activity tallies of the control plane this service hangs off —
-    /// lets the embedding fleet watch for shared-artifact updates without
-    /// holding its own plane handle.
-    pub fn plane_stats(&self) -> PlaneStats {
-        self.plane.stats()
-    }
-
     /// The cached recommendation for a function, if one has been issued.
     pub fn recommendation(&self, fn_id: usize) -> Option<&Recommendation> {
         self.state(fn_id)?.recommendation.as_ref()
@@ -408,14 +433,14 @@ impl SizingService {
         at_size: MemorySize,
         sample: InvocationSample,
     ) -> Option<SizingDirective> {
-        self.ingest_masked(fn_id, at_size, sample, false)
+        self.ingest_masked(fn_id, at_size, sample, false).directive
     }
 
-    /// [`SizingService::ingest`] with fault masking: when `fault_masked`
-    /// is `true` (the embedding layer knows a fault window — crash
-    /// downtime, recovery slowdown, outage — is active for this sample's
-    /// hosts), a confirmed drift detection is *suppressed* instead of
-    /// triggering re-measurement, and tallied as
+    /// [`SizingService::ingest`] with fault masking, reporting everything
+    /// the call did. When `fault_masked` is `true` (the embedding layer
+    /// knows a fault window — crash downtime, recovery slowdown, outage —
+    /// is active for this sample's hosts), a confirmed drift detection is
+    /// *suppressed* instead of triggering re-measurement, and tallied as
     /// [`ServiceStats::drift_suppressed_by_fault`]. Everything else is
     /// identical to `ingest`.
     pub fn ingest_masked(
@@ -424,7 +449,8 @@ impl SizingService {
         at_size: MemorySize,
         sample: InvocationSample,
         fault_masked: bool,
-    ) -> Option<SizingDirective> {
+    ) -> IngestOutcome {
+        let mut out = IngestOutcome::default();
         let base = self.plane.base();
         if self.functions.len() <= fn_id {
             self.functions.resize_with(fn_id + 1, || None);
@@ -436,11 +462,12 @@ impl SizingService {
                 // First contact at a foreign size: direct to base for
                 // calibration; this sample is unusable.
                 self.stats.stale_samples_ignored += 1;
-                return Some(SizingDirective {
+                out.directive = Some(SizingDirective {
                     fn_id,
                     target: base,
                     reason: DirectiveReason::Calibrate,
                 });
+                return out;
             }
         }
 
@@ -451,21 +478,21 @@ impl SizingService {
                 // Production traffic at the directed size: served normally,
                 // never mixed into the base-size shadow window.
                 self.stats.shadow_passthrough += 1;
-                return None;
+                return out;
             }
             if at_size != base {
                 self.stats.stale_samples_ignored += 1;
-                return None;
+                return out;
             }
             self.stats.shadow_samples += 1;
         } else if at_size != state.current {
             self.stats.stale_samples_ignored += 1;
-            return None;
+            return out;
         }
         state.pending.push(sample);
         self.stats.samples_ingested += 1;
         if state.window.len() + state.pending.len() < self.config.window {
-            return None;
+            return out;
         }
         state.pending.flush_into(&mut state.window);
 
@@ -483,46 +510,39 @@ impl SizingService {
                     }
                 }
                 state.recommendation = Some(rec);
+                state.last_measurement = Some(metrics);
                 if state.phase == FnPhase::Shadowing {
                     // Shadow re-measurement concluded: stop routing; the
                     // next window at the (possibly new) directed size
                     // rebuilds the drift reference under the drifted
                     // workload.
-                    state.last_measurement = Some(metrics);
                     state.window.clear();
                     state.shadow_period = 0;
                     state.shadow_seq = 0;
-                    state.phase = FnPhase::Referencing;
-                    self.stats.entered_referencing += 1;
+                    out.transition = Some(state.enter(FnPhase::Referencing, &mut self.stats));
                     if chosen != state.current {
                         state.current = chosen;
-                        return Some(SizingDirective {
+                        out.directive = Some(SizingDirective {
                             fn_id,
                             target: chosen,
                             reason: DirectiveReason::Recommend,
                         });
                     }
-                    return None;
-                }
-                state.last_measurement = Some(metrics);
-                if chosen == base {
+                } else if chosen == base {
                     // No resize: the measurement window doubles as the
                     // drift reference (same size, same length).
                     state.window.write_store(&mut state.reference);
                     state.window.clear();
-                    state.phase = FnPhase::Watching;
-                    self.stats.entered_watching += 1;
-                    None
+                    out.transition = Some(state.enter(FnPhase::Watching, &mut self.stats));
                 } else {
                     state.window.clear();
-                    state.phase = FnPhase::Referencing;
-                    self.stats.entered_referencing += 1;
+                    out.transition = Some(state.enter(FnPhase::Referencing, &mut self.stats));
                     state.current = chosen;
-                    Some(SizingDirective {
+                    out.directive = Some(SizingDirective {
                         fn_id,
                         target: chosen,
                         reason: DirectiveReason::Recommend,
-                    })
+                    });
                 }
             }
             FnPhase::Referencing => {
@@ -532,7 +552,7 @@ impl SizingService {
                 if state.current != base {
                     if let Some(measurement) = &state.last_measurement {
                         let observed_ms = state.window.aggregate().mean_execution_time_ms();
-                        self.plane.observe(OnlineObservation {
+                        out.artifact_updates = self.plane.observe(OnlineObservation {
                             // lint: allow(hot001) reason="runs once per completed reference window, not per invocation; the base measurement must stay owned for later re-recommendations"
                             metrics: measurement.clone(),
                             directed: state.current,
@@ -542,9 +562,7 @@ impl SizingService {
                 }
                 state.window.write_store(&mut state.reference);
                 state.window.clear();
-                state.phase = FnPhase::Watching;
-                self.stats.entered_watching += 1;
-                None
+                out.transition = Some(state.enter(FnPhase::Watching, &mut self.stats));
             }
             FnPhase::Watching => {
                 state.window.write_store(&mut self.scratch);
@@ -553,16 +571,18 @@ impl SizingService {
                 let report =
                     detect_drift(&state.reference, &self.scratch, &self.watched, &self.config.drift);
                 if !report.should_reoptimize() {
-                    return None;
+                    return out;
                 }
                 self.stats.drift_detections += 1;
+                out.drift_detected = true;
                 if fault_masked {
                     // The "drift" coincides with an active fault window:
                     // most likely crash fallout, not a workload shift. Stay
                     // Watching (the window is already cleared); a genuine
                     // shift re-confirms on the next full window.
                     self.stats.drift_suppressed_by_fault += 1;
-                    return None;
+                    out.drift_suppressed = true;
+                    return out;
                 }
                 if state.current == base {
                     // Already at base: re-measure in place; no routing or
@@ -570,32 +590,29 @@ impl SizingService {
                     // paid either, so this re-recommendation is *not*
                     // classified against `pre_drift` — the false-revert
                     // split only counts re-measurements that cost something.
-                    state.phase = FnPhase::Measuring;
-                    self.stats.entered_measuring += 1;
-                    return None;
+                    out.transition = Some(state.enter(FnPhase::Measuring, &mut self.stats));
+                    return out;
                 }
                 state.pre_drift = Some(state.current);
                 match self.remeasure.on_drift(fn_id, state.current, &report) {
                     RemeasureAction::Revert => {
-                        state.phase = FnPhase::Measuring;
-                        self.stats.entered_measuring += 1;
+                        out.transition = Some(state.enter(FnPhase::Measuring, &mut self.stats));
                         state.current = base;
-                        Some(SizingDirective {
+                        out.directive = Some(SizingDirective {
                             fn_id,
                             target: base,
                             reason: DirectiveReason::Drift,
-                        })
+                        });
                     }
                     RemeasureAction::Shadow { period } => {
-                        state.phase = FnPhase::Shadowing;
-                        self.stats.entered_shadowing += 1;
+                        out.transition = Some(state.enter(FnPhase::Shadowing, &mut self.stats));
                         state.shadow_period = period.max(1);
                         state.shadow_seq = 0;
-                        None
                     }
                 }
             }
         }
+        out
     }
 }
 
@@ -791,11 +808,16 @@ mod tests {
         assert_eq!(svc.phase(0), Some(FnPhase::Watching));
         // A strongly shifted window during an active fault: the detection
         // fires but is suppressed — no revert, no re-measurement.
+        let mut suppressed = 0;
         for _ in 0..64 {
-            let d = svc.ingest_masked(0, current, sample(&mut rng, i, 1.6), true);
-            assert!(d.is_none());
+            let out = svc.ingest_masked(0, current, sample(&mut rng, i, 1.6), true);
+            assert!(out.directive.is_none());
+            assert_eq!(out.drift_detected, out.drift_suppressed);
+            assert_eq!(out.transition, None, "a suppressed detection stays Watching");
+            suppressed += usize::from(out.drift_suppressed);
             i += 1;
         }
+        assert_eq!(suppressed, 1);
         assert_eq!(svc.stats().drift_detections, 1);
         assert_eq!(svc.stats().drift_suppressed_by_fault, 1);
         assert_eq!(svc.phase(0), Some(FnPhase::Watching));
@@ -889,6 +911,39 @@ mod tests {
         // Shadowing never re-entered Measuring: the full-revert cost was
         // never paid.
         assert_eq!(svc.stats().entered_measuring, 1);
+    }
+
+    #[test]
+    fn outcomes_report_every_phase_change_once() {
+        let mut svc = service(16);
+        let base = svc.base();
+        let mut rng = RngStream::from_seed(6, "svc-outcome");
+        let mut at = base;
+        let mut entered = [0usize; 4];
+        for i in 0..400 {
+            let before = svc.phase(0);
+            let scale = if i < 200 { 1.0 } else { 1.6 };
+            let out = svc.ingest_masked(0, at, sample(&mut rng, i, scale), false);
+            match out.transition {
+                Some((from, to)) => {
+                    assert_eq!(Some(from), before);
+                    assert_ne!(from, to);
+                    entered[to as usize] += 1;
+                }
+                None if before.is_some() => assert_eq!(svc.phase(0), before),
+                None => {}
+            }
+            if let Some(d) = out.directive {
+                at = d.target;
+            }
+        }
+        let s = svc.stats();
+        // The first entry into Measuring is state creation, not a change.
+        assert_eq!(
+            entered,
+            [s.entered_measuring - 1, s.entered_referencing, s.entered_watching, s.entered_shadowing]
+        );
+        assert!(s.entered_watching > 0, "{s:?}");
     }
 
     #[test]

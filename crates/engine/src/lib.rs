@@ -14,7 +14,7 @@
 //!   exponential inter-arrival times (the paper drives functions at 30 rps
 //!   with exponentially distributed inter-arrival time), lognormal latency
 //!   noise, and friends.
-//! * [`sim`] — a minimal simulation driver for callback-style models.
+//! * [`sim`] — a minimal simulation driver over typed, `Copy` events.
 //!
 //! # Examples
 //!
@@ -47,5 +47,5 @@ pub mod prelude {
 pub use dist::Distribution;
 pub use queue::{EventQueue, QueueKind};
 pub use rng::{fnv1a, RngStream};
-pub use sim::{Callback, SimEvent, SimStats, Simulation};
+pub use sim::{SimEvent, SimStats, Simulation};
 pub use time::{SimDuration, SimTime};

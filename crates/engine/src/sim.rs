@@ -6,20 +6,14 @@
 //! crates — but centralizing clock advancement here guarantees the "time
 //! never goes backwards" invariant everywhere.
 //!
-//! The event type is pluggable through [`SimEvent`]. The default,
-//! [`Callback`], is a boxed closure — the original callback API, unchanged
-//! for every existing caller. Hot simulation loops (the fleet) instead
-//! define a small `Copy` event enum and dispatch in [`SimEvent::fire`],
-//! which removes the per-event box allocation entirely: the queue then
-//! stores plain values, and a steady-state run allocates nothing per event.
+//! Each model defines its events as a small `Copy` type implementing
+//! [`SimEvent`] and dispatches in [`SimEvent::fire`] (the fleet's
+//! `FleetEvent` enum is the main one). The queue stores plain values, so a
+//! steady-state run allocates nothing per event.
 
 use crate::queue::{EventQueue, QueueKind};
 use crate::time::{SimDuration, SimTime};
 use std::marker::PhantomData;
-
-/// A boxed event handler: receives the simulation so it can schedule more
-/// events.
-pub type Handler<S> = Box<dyn FnOnce(&mut Simulation<S>, &mut S)>;
 
 /// What a scheduled event does when its time comes.
 ///
@@ -31,45 +25,44 @@ pub trait SimEvent<S>: Sized + 'static {
     fn fire(self, sim: &mut Simulation<S, Self>, state: &mut S);
 }
 
-/// The default event representation: a boxed `FnOnce` closure.
-pub struct Callback<S>(Handler<S>);
-
-impl<S: 'static> SimEvent<S> for Callback<S> {
-    fn fire(self, sim: &mut Simulation<S, Self>, state: &mut S) {
-        (self.0)(sim, state)
-    }
-}
-
 /// A snapshot of a simulation's run counters, for post-run introspection
 /// and the events/sec benchmark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Events executed so far.
     pub executed: u64,
-    /// Handlers ever scheduled (executed + pending + any dropped on exit).
+    /// Events ever scheduled (executed + pending + any dropped on exit).
     pub scheduled: u64,
     /// The most events that were ever pending at once.
     pub peak_pending: usize,
 }
 
 /// A discrete-event simulation over domain state `S` with event
-/// representation `E` (boxed closures by default).
+/// representation `E`.
 ///
 /// # Examples
 ///
 /// ```
-/// use sizeless_engine::sim::Simulation;
+/// use sizeless_engine::sim::{SimEvent, Simulation};
 /// use sizeless_engine::time::{SimDuration, SimTime};
 ///
-/// let mut sim: Simulation<Vec<f64>> = Simulation::new();
-/// sim.schedule_in(SimDuration::from_millis(10.0), |sim, log| {
-///     log.push(sim.now().as_millis());
-/// });
+/// /// Logs the virtual time it fires at.
+/// #[derive(Clone, Copy)]
+/// struct Stamp;
+///
+/// impl SimEvent<Vec<f64>> for Stamp {
+///     fn fire(self, sim: &mut Simulation<Vec<f64>, Self>, log: &mut Vec<f64>) {
+///         log.push(sim.now().as_millis());
+///     }
+/// }
+///
+/// let mut sim: Simulation<Vec<f64>, Stamp> = Simulation::new();
+/// sim.schedule_event_in(SimDuration::from_millis(10.0), Stamp);
 /// let mut log = Vec::new();
 /// sim.run_until(SimTime::from_millis(100.0), &mut log);
 /// assert_eq!(log, vec![10.0]);
 /// ```
-pub struct Simulation<S, E = Callback<S>> {
+pub struct Simulation<S, E> {
     clock: SimTime,
     events: EventQueue<E>,
     executed: u64,
@@ -119,7 +112,7 @@ impl<S, E: SimEvent<S>> Simulation<S, E> {
         self.events.len()
     }
 
-    /// A snapshot of the run counters: events executed, handlers ever
+    /// A snapshot of the run counters: events executed, events ever
     /// scheduled, and the queue-depth high-water mark.
     pub fn stats(&self) -> SimStats {
         SimStats {
@@ -205,32 +198,6 @@ impl<S, E: SimEvent<S>> Simulation<S, E> {
     }
 }
 
-/// The closure-scheduling sugar, available on the default (callback) event
-/// representation only: boxes the closure into a [`Callback`] event.
-impl<S: 'static> Simulation<S, Callback<S>> {
-    /// Schedules `handler` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        handler: impl FnOnce(&mut Simulation<S>, &mut S) + 'static,
-    ) {
-        self.schedule_event_at(at, Callback(Box::new(handler)));
-    }
-
-    /// Schedules `handler` after a delay from the current clock.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        handler: impl FnOnce(&mut Simulation<S>, &mut S) + 'static,
-    ) {
-        self.schedule_at(self.clock + delay, handler);
-    }
-}
-
 impl<S, E: SimEvent<S>> Default for Simulation<S, E> {
     fn default() -> Self {
         Self::new()
@@ -241,109 +208,8 @@ impl<S, E: SimEvent<S>> Default for Simulation<S, E> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn events_run_in_order_and_advance_clock() {
-        let mut sim: Simulation<Vec<f64>> = Simulation::new();
-        sim.schedule_at(SimTime::from_millis(5.0), |s, log| {
-            log.push(s.now().as_millis())
-        });
-        sim.schedule_at(SimTime::from_millis(2.0), |s, log| {
-            log.push(s.now().as_millis())
-        });
-        let mut log = Vec::new();
-        sim.run_to_completion(&mut log);
-        assert_eq!(log, vec![2.0, 5.0]);
-        assert_eq!(sim.now().as_millis(), 5.0);
-        assert_eq!(sim.executed_events(), 2);
-    }
-
-    #[test]
-    fn handlers_can_schedule_more_events() {
-        let mut sim: Simulation<Vec<&'static str>> = Simulation::new();
-        sim.schedule_in(SimDuration::from_millis(1.0), |sim, log| {
-            log.push("first");
-            sim.schedule_in(SimDuration::from_millis(1.0), |_, log| {
-                log.push("second");
-            });
-        });
-        let mut log = Vec::new();
-        sim.run_to_completion(&mut log);
-        assert_eq!(log, vec!["first", "second"]);
-        assert_eq!(sim.now().as_millis(), 2.0);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        for i in 1..=10 {
-            sim.schedule_at(SimTime::from_millis(i as f64), |_, count| *count += 1);
-        }
-        let mut count = 0;
-        let ran = sim.run_until(SimTime::from_millis(4.0), &mut count);
-        assert_eq!(ran, 4);
-        assert_eq!(count, 4);
-        assert_eq!(sim.pending_events(), 6);
-        assert_eq!(sim.now().as_millis(), 4.0);
-    }
-
-    #[test]
-    fn run_until_advances_clock_with_no_events() {
-        let mut sim: Simulation<()> = Simulation::new();
-        sim.run_until(SimTime::from_millis(50.0), &mut ());
-        assert_eq!(sim.now().as_millis(), 50.0);
-    }
-
-    #[test]
-    fn deadline_inclusive() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.schedule_at(SimTime::from_millis(4.0), |_, c| *c += 1);
-        let mut c = 0;
-        sim.run_until(SimTime::from_millis(4.0), &mut c);
-        assert_eq!(c, 1);
-    }
-
-    #[test]
-    fn step_executes_exactly_one_event() {
-        let mut sim: Simulation<Vec<f64>> = Simulation::new();
-        sim.schedule_at(SimTime::from_millis(3.0), |s, log| {
-            log.push(s.now().as_millis())
-        });
-        sim.schedule_at(SimTime::from_millis(7.0), |s, log| {
-            log.push(s.now().as_millis())
-        });
-        let mut log = Vec::new();
-        assert_eq!(sim.peek_time(), Some(SimTime::from_millis(3.0)));
-        assert!(sim.step(&mut log));
-        assert_eq!(log, vec![3.0]);
-        assert_eq!(sim.peek_time(), Some(SimTime::from_millis(7.0)));
-        assert!(sim.step(&mut log));
-        assert!(!sim.step(&mut log), "drained queue steps no further");
-        assert_eq!(sim.peek_time(), None);
-        assert_eq!(log, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn stats_reports_executed_scheduled_and_peak() {
-        let mut sim: Simulation<u32> = Simulation::new();
-        for i in 1..=4 {
-            sim.schedule_at(SimTime::from_millis(i as f64), |_, c| *c += 1);
-        }
-        assert_eq!(sim.stats(), SimStats { executed: 0, scheduled: 4, peak_pending: 4 });
-        let mut c = 0;
-        sim.run_to_completion(&mut c);
-        assert_eq!(sim.stats(), SimStats { executed: 4, scheduled: 4, peak_pending: 4 });
-    }
-
-    #[test]
-    #[should_panic(expected = "in the past")]
-    fn scheduling_in_past_panics() {
-        let mut sim: Simulation<()> = Simulation::new();
-        sim.schedule_at(SimTime::from_millis(5.0), |_, _| {});
-        sim.run_to_completion(&mut ());
-        sim.schedule_at(SimTime::from_millis(1.0), |_, _| {});
-    }
-
-    /// A typed (non-callback) event representation: no boxing anywhere.
+    /// The test event: logs its value; a chain link also schedules its
+    /// successor 1 ms later.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Tick {
         Once(u32),
@@ -367,12 +233,95 @@ mod tests {
         }
     }
 
+    type TickSim = Simulation<Vec<u32>, Tick>;
+
+    fn at(ms: f64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn events_run_in_order_and_advance_clock() {
+        let mut sim = TickSim::new();
+        sim.schedule_event_at(at(5.0), Tick::Once(5));
+        sim.schedule_event_at(at(2.0), Tick::Once(2));
+        let mut log = Vec::new();
+        sim.run_to_completion(&mut log);
+        assert_eq!(log, vec![2, 5]);
+        assert_eq!(sim.now().as_millis(), 5.0);
+        assert_eq!(sim.executed_events(), 2);
+    }
+
+    #[test]
+    fn run_until_stops_at_deadline() {
+        let mut sim = TickSim::new();
+        for i in 1..=10 {
+            sim.schedule_event_at(at(f64::from(i)), Tick::Once(i));
+        }
+        let mut log = Vec::new();
+        let ran = sim.run_until(at(4.0), &mut log);
+        assert_eq!(ran, 4);
+        assert_eq!(log, vec![1, 2, 3, 4]);
+        assert_eq!(sim.pending_events(), 6);
+        assert_eq!(sim.now().as_millis(), 4.0);
+    }
+
+    #[test]
+    fn run_until_advances_clock_with_no_events() {
+        let mut sim = TickSim::new();
+        sim.run_until(at(50.0), &mut Vec::new());
+        assert_eq!(sim.now().as_millis(), 50.0);
+    }
+
+    #[test]
+    fn deadline_inclusive() {
+        let mut sim = TickSim::new();
+        sim.schedule_event_at(at(4.0), Tick::Once(4));
+        let mut log = Vec::new();
+        sim.run_until(at(4.0), &mut log);
+        assert_eq!(log, vec![4]);
+    }
+
+    #[test]
+    fn step_executes_exactly_one_event() {
+        let mut sim = TickSim::new();
+        sim.schedule_event_at(at(3.0), Tick::Once(3));
+        sim.schedule_event_at(at(7.0), Tick::Once(7));
+        let mut log = Vec::new();
+        assert_eq!(sim.peek_time(), Some(at(3.0)));
+        assert!(sim.step(&mut log));
+        assert_eq!(log, vec![3]);
+        assert_eq!(sim.peek_time(), Some(at(7.0)));
+        assert!(sim.step(&mut log));
+        assert!(!sim.step(&mut log), "drained queue steps no further");
+        assert_eq!(sim.peek_time(), None);
+        assert_eq!(log, vec![3, 7]);
+    }
+
+    #[test]
+    fn stats_reports_executed_scheduled_and_peak() {
+        let mut sim = TickSim::new();
+        for i in 1..=4 {
+            sim.schedule_event_at(at(f64::from(i)), Tick::Once(i));
+        }
+        assert_eq!(sim.stats(), SimStats { executed: 0, scheduled: 4, peak_pending: 4 });
+        sim.run_to_completion(&mut Vec::new());
+        assert_eq!(sim.stats(), SimStats { executed: 4, scheduled: 4, peak_pending: 4 });
+    }
+
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn scheduling_in_past_panics() {
+        let mut sim = TickSim::new();
+        sim.schedule_event_at(at(5.0), Tick::Once(5));
+        sim.run_to_completion(&mut Vec::new());
+        sim.schedule_event_at(at(1.0), Tick::Once(1));
+    }
+
     #[test]
     fn typed_events_fire_in_order_and_chain() {
-        let mut sim: Simulation<Vec<u32>, Tick> =
-            Simulation::with_queue(QueueKind::calendar(), 16);
-        sim.schedule_event_at(SimTime::from_millis(5.0), Tick::Once(50));
-        sim.schedule_event_at(SimTime::from_millis(1.0), Tick::Chain { left: 2 });
+        let mut sim = TickSim::with_queue(QueueKind::calendar(), 16);
+        sim.schedule_event_at(at(5.0), Tick::Once(50));
+        sim.schedule_event_at(at(1.0), Tick::Chain { left: 2 });
         let mut log = Vec::new();
         sim.run_to_completion(&mut log);
         assert_eq!(log, vec![2, 1, 0, 50]);

@@ -31,12 +31,11 @@ use crate::limits::{ConcurrencyLimits, ThrottleReason};
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::stats::{FaultSummary, FleetReport, RightsizingReport};
 use sizeless_core::service::{
-    DirectiveReason, FnPhase, RouteDecision, SizingDirective, SizingService,
+    DirectiveReason, FnPhase, IngestOutcome, RouteDecision, SizingDirective, SizingService,
 };
 use sizeless_engine::{QueueKind, RngStream, SimEvent, SimTime, Simulation};
 use sizeless_obs::{
-    CounterId, FaultKind, HistogramId, LoopPhase, MetricsRegistry, NullSink, ResizeCause,
-    ThrottleCause, TraceEvent, TraceSink,
+    FaultKind, LoopPhase, NullSink, ResizeCause, ThrottleCause, TraceEvent, TraceSink,
 };
 use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile};
 use sizeless_telemetry::{
@@ -160,48 +159,6 @@ fn resize_cause(r: DirectiveReason) -> ResizeCause {
         DirectiveReason::Calibrate => ResizeCause::Calibrate,
         DirectiveReason::Recommend => ResizeCause::Recommend,
         DirectiveReason::Drift => ResizeCause::Drift,
-    }
-}
-
-/// The fleet's metrics instrumentation: a registry plus pre-registered
-/// handles so hot-path updates are plain indexed increments (no name
-/// lookups, no allocation).
-struct FleetObs {
-    registry: MetricsRegistry,
-    dispatches: CounterId,
-    cold_starts: CounterId,
-    throttles: CounterId,
-    evictions: CounterId,
-    resizes: CounterId,
-    shadow_routes: CounterId,
-    drift_detections: CounterId,
-    invocation_failures: CounterId,
-    retries: CounterId,
-    host_crashes: CounterId,
-    latency_ms: HistogramId,
-    exec_ms: HistogramId,
-    init_ms: HistogramId,
-}
-
-impl FleetObs {
-    fn new() -> Self {
-        let mut registry = MetricsRegistry::new();
-        FleetObs {
-            dispatches: registry.counter("dispatches"),
-            cold_starts: registry.counter("cold_starts"),
-            throttles: registry.counter("throttles"),
-            evictions: registry.counter("evictions"),
-            resizes: registry.counter("resizes_applied"),
-            shadow_routes: registry.counter("shadow_routes"),
-            drift_detections: registry.counter("drift_detections"),
-            invocation_failures: registry.counter("invocation_failures"),
-            retries: registry.counter("retries_scheduled"),
-            host_crashes: registry.counter("host_crashes"),
-            latency_ms: registry.histogram("latency_ms"),
-            exec_ms: registry.histogram("exec_ms"),
-            init_ms: registry.histogram("init_ms"),
-            registry,
-        }
     }
 }
 
@@ -441,7 +398,6 @@ pub struct Fleet<S: TraceSink = NullSink> {
     monitor_rng: RngStream,
     sizing: Option<SizingLoop>,
     sink: S,
-    obs: Option<FleetObs>,
     seed: u64,
     faults: Option<FaultState>,
     retry: Option<RetryState>,
@@ -511,7 +467,6 @@ impl Fleet {
             monitor_rng: root.derive("monitor"),
             sizing: None,
             sink: NullSink,
-            obs: None,
             seed: config.seed,
             faults: None,
             retry: None,
@@ -548,7 +503,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
             monitor_rng: self.monitor_rng,
             sizing: self.sizing,
             sink,
-            obs: self.obs,
             seed: self.seed,
             faults: self.faults,
             retry: self.retry,
@@ -557,14 +511,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
             shifts: self.shifts,
             queue: self.queue,
         }
-    }
-
-    /// Enables the metrics registry: deterministic log-scale latency
-    /// histograms and monotone counters, snapshottable as JSON at any
-    /// virtual time via [`Fleet::metrics`].
-    pub fn with_metrics(mut self) -> Self {
-        self.obs = Some(FleetObs::new());
-        self
     }
 
     /// The trace sink (e.g. to export a collected trace).
@@ -576,11 +522,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
     /// cross-fleet events (e.g. region handoffs) through this.
     pub fn sink_mut(&mut self) -> &mut S {
         &mut self.sink
-    }
-
-    /// The metrics registry, when enabled with [`Fleet::with_metrics`].
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.obs.as_ref().map(|o| &o.registry)
     }
 
     /// Embeds an online [`SizingService`]: every completion's monitoring
@@ -668,12 +609,14 @@ impl<S: TraceSink + 'static> Fleet<S> {
         }
     }
 
-    /// Records a throttle rejection into the trace and metrics layers.
-    fn trace_throttle(&mut self, now_ms: f64, fn_id: usize, cause: ThrottleCause) {
-        self.sink.record(now_ms, TraceEvent::Throttle { fn_id: fn_id as u32, cause });
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.throttles);
+    /// Counts a throttle (429) under its cause and records it.
+    fn throttle(&mut self, now_ms: f64, fn_id: usize, cause: ThrottleCause) {
+        match cause {
+            ThrottleCause::Function => self.counters.throttled_function += 1,
+            ThrottleCause::Account => self.counters.throttled_account += 1,
+            ThrottleCause::Capacity => self.counters.throttled_capacity += 1,
         }
+        self.sink.record(now_ms, TraceEvent::Throttle { fn_id: fn_id as u32, cause });
     }
 
     /// Handles one request for `fn_id` arriving at `now_ms`.
@@ -690,21 +633,14 @@ impl<S: TraceSink + 'static> Fleet<S> {
         }
         self.counters.submitted += 1;
         self.keepalive.observe_arrival(fn_id, now_ms);
-        match self.limits.try_acquire(fn_id) {
-            Ok(()) => {}
-            Err(ThrottleReason::FunctionLimit) => {
-                self.counters.throttled_function += 1;
-                self.trace_throttle(now_ms, fn_id, ThrottleCause::Function);
-                return;
-            }
-            Err(ThrottleReason::AccountLimit) => {
-                self.counters.throttled_account += 1;
-                self.trace_throttle(now_ms, fn_id, ThrottleCause::Account);
-                return;
-            }
-            Err(ThrottleReason::CapacityExhausted) => {
-                unreachable!("limits never report capacity")
-            }
+        if let Err(reason) = self.limits.try_acquire(fn_id) {
+            let cause = match reason {
+                ThrottleReason::FunctionLimit => ThrottleCause::Function,
+                ThrottleReason::AccountLimit => ThrottleCause::Account,
+                ThrottleReason::CapacityExhausted => ThrottleCause::Capacity,
+            };
+            self.throttle(now_ms, fn_id, cause);
+            return;
         }
         self.start_attempt(sim, fn_id, 1, now_ms);
     }
@@ -737,9 +673,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 now_ms,
                 TraceEvent::ShadowRoute { fn_id: fn_id as u32, base_mb: memory.mb() },
             );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.inc(o.shadow_routes);
-            }
         }
         let mem_mb = f64::from(memory.mb());
         let selected =
@@ -759,11 +692,10 @@ impl<S: TraceSink + 'static> Fleet<S> {
             // degradation under capacity loss is throttling, never
             // unbounded queueing.
             self.limits.release(fn_id);
-            self.counters.throttled_capacity += 1;
             if attempt > 1 {
                 self.counters.in_flight -= 1;
             }
-            self.trace_throttle(now_ms, fn_id, ThrottleCause::Capacity);
+            self.throttle(now_ms, fn_id, ThrottleCause::Capacity);
             return;
         };
         if evicted > 0 {
@@ -771,9 +703,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 now_ms,
                 TraceEvent::Eviction { host: host as u32, evicted: evicted as u32 },
             );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.add(o.evictions, evicted as u64);
-            }
         }
         self.sink.record(
             now_ms,
@@ -785,9 +714,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 shadow: pool != fn_id,
             },
         );
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.dispatches);
-        }
         if pool != fn_id {
             // Count only shadow invocations that actually started — a
             // throttled shadow route burned its period slot but produced
@@ -832,10 +758,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                     init_ms: record.init_ms,
                 },
             );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.inc(o.cold_starts);
-                o.registry.observe(o.init_ms, record.init_ms);
-            }
             // Shadow invocations cold-start at the *base* size; feeding
             // their init times to the keep-alive observer would skew the
             // function's TTL sizing toward a pool it only uses transiently.
@@ -957,9 +879,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 cause,
             },
         );
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.invocation_failures);
-        }
         let next = done.attempt + 1;
         let backoff = match self.retry.as_mut() {
             Some(r) => r.policy.backoff_ms(done.fn_id, next, &mut r.rng),
@@ -978,9 +897,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                     delay_ms,
                 },
             );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.inc(o.retries);
-            }
             sim.schedule_event_at(
                 SimTime::from_millis(now_ms + delay_ms),
                 FleetEvent::Retry { fn_id: done.fn_id as u32, attempt: next as u32 },
@@ -1006,36 +922,15 @@ impl<S: TraceSink + 'static> Fleet<S> {
             return;
         }
         let now_ms = sim.now().as_millis();
-        let (lost_in_flight, lost_warm) = self.hosts[host].crash(now_ms);
-        let recovery_ms = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.recovery)
-            .map_or(0.0, |r| r.recovery_ms);
+        self.crash_host(host, now_ms);
         // lint: allow(panic002) reason="crash events are only scheduled when a fault plan is installed"
         let f = self.faults.as_mut().expect("crash events imply faults");
-        f.epoch[host] += 1;
-        f.down_since[host] = now_ms;
-        f.crash_zombies += lost_in_flight;
-        f.summary.host_crashes += 1;
-        f.summary.failed_in_flight += lost_in_flight;
-        f.summary.lost_warm += lost_warm;
         if f.drift_mask {
             // The mask covers the outage plus the post-rejoin recovery
             // window, when crash-induced latency spikes would otherwise
             // read as workload drift.
+            let recovery_ms = f.recovery.map_or(0.0, |r| r.recovery_ms);
             f.mask_until_ms = f.mask_until_ms.max(now_ms + down_ms + recovery_ms + f.mask_pad_ms);
-        }
-        self.sink.record(
-            now_ms,
-            TraceEvent::HostDown {
-                host: host as u32,
-                failed_in_flight: lost_in_flight as u32,
-                lost_warm: lost_warm as u32,
-            },
-        );
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.host_crashes);
         }
         sim.schedule_event_at(
             SimTime::from_millis(now_ms + down_ms),
@@ -1047,13 +942,40 @@ impl<S: TraceSink + 'static> Fleet<S> {
     }
 
     fn on_host_rejoin(&mut self, sim: &mut FleetSim<S>, host: usize) {
-        if self.hosts[host].is_available() {
-            return;
+        if !self.hosts[host].is_available() {
+            self.rejoin_host(host, sim.now().as_millis());
         }
-        let now_ms = sim.now().as_millis();
+    }
+
+    /// Takes an available `host` down: its in-flight attempts become
+    /// zombies under a new crash epoch, the losses go into the fault
+    /// summary, and a `host_down` record is written.
+    fn crash_host(&mut self, host: usize, now_ms: f64) {
+        let (lost_in_flight, lost_warm) = self.hosts[host].crash(now_ms);
+        // lint: allow(panic002) reason="crashes and outages are only scheduled when a fault plan is installed"
+        let f = self.faults.as_mut().expect("crashes imply faults");
+        f.epoch[host] += 1;
+        f.down_since[host] = now_ms;
+        f.crash_zombies += lost_in_flight;
+        f.summary.host_crashes += 1;
+        f.summary.failed_in_flight += lost_in_flight;
+        f.summary.lost_warm += lost_warm;
+        self.sink.record(
+            now_ms,
+            TraceEvent::HostDown {
+                host: host as u32,
+                failed_in_flight: lost_in_flight as u32,
+                lost_warm: lost_warm as u32,
+            },
+        );
+    }
+
+    /// Brings a crashed `host` back cold: opens its recovery window and
+    /// writes a `host_up` record.
+    fn rejoin_host(&mut self, host: usize, now_ms: f64) {
         self.hosts[host].rejoin();
-        // lint: allow(panic002) reason="rejoin events are only scheduled when a fault plan is installed"
-        let f = self.faults.as_mut().expect("rejoin events imply faults");
+        // lint: allow(panic002) reason="rejoins and outages are only scheduled when a fault plan is installed"
+        let f = self.faults.as_mut().expect("rejoins imply faults");
         let down_ms = now_ms - f.down_since[host];
         if let Some(r) = f.recovery {
             f.recovering_until[host] = now_ms + r.recovery_ms;
@@ -1067,28 +989,8 @@ impl<S: TraceSink + 'static> Fleet<S> {
     pub(crate) fn begin_outage(&mut self, sim: &mut FleetSim<S>) {
         let now_ms = sim.now().as_millis();
         for host in 0..self.hosts.len() {
-            if !self.hosts[host].is_available() {
-                continue;
-            }
-            let (lost_in_flight, lost_warm) = self.hosts[host].crash(now_ms);
-            // lint: allow(panic002) reason="outage events are only scheduled when a fault plan is installed"
-            let f = self.faults.as_mut().expect("outage events imply faults");
-            f.epoch[host] += 1;
-            f.down_since[host] = now_ms;
-            f.crash_zombies += lost_in_flight;
-            f.summary.host_crashes += 1;
-            f.summary.failed_in_flight += lost_in_flight;
-            f.summary.lost_warm += lost_warm;
-            self.sink.record(
-                now_ms,
-                TraceEvent::HostDown {
-                    host: host as u32,
-                    failed_in_flight: lost_in_flight as u32,
-                    lost_warm: lost_warm as u32,
-                },
-            );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.inc(o.host_crashes);
+            if self.hosts[host].is_available() {
+                self.crash_host(host, now_ms);
             }
         }
         // lint: allow(panic002) reason="outage events are only scheduled when a fault plan is installed"
@@ -1104,23 +1006,15 @@ impl<S: TraceSink + 'static> Fleet<S> {
         let now_ms = sim.now().as_millis();
         // lint: allow(panic002) reason="outage events are only scheduled when a fault plan is installed"
         let f = self.faults.as_mut().expect("outage events imply faults");
-        let recovery_ms = f.recovery.map_or(0.0, |r| r.recovery_ms);
         if f.drift_mask {
+            let recovery_ms = f.recovery.map_or(0.0, |r| r.recovery_ms);
             f.mask_until_ms = f.mask_until_ms.max(now_ms + recovery_ms + f.mask_pad_ms);
         }
         f.outage = false;
         for host in 0..self.hosts.len() {
-            if self.hosts[host].is_available() {
-                continue;
+            if !self.hosts[host].is_available() {
+                self.rejoin_host(host, now_ms);
             }
-            self.hosts[host].rejoin();
-            // lint: allow(panic002) reason="outage events are only scheduled when a fault plan is installed"
-            let f = self.faults.as_mut().expect("outage events imply faults");
-            let down_ms = now_ms - f.down_since[host];
-            if f.recovery.is_some() {
-                f.recovering_until[host] = now_ms + recovery_ms;
-            }
-            self.sink.record(now_ms, TraceEvent::HostUp { host: host as u32, down_ms });
         }
     }
 
@@ -1156,8 +1050,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
     pub(crate) fn shed_diverted(&mut self, now_ms: f64, fn_id: usize) {
         self.counters.submitted += 1;
         self.keepalive.observe_arrival(fn_id, now_ms);
-        self.counters.throttled_capacity += 1;
-        self.trace_throttle(now_ms, fn_id, ThrottleCause::Capacity);
+        self.throttle(now_ms, fn_id, ThrottleCause::Capacity);
     }
 
     fn on_complete(
@@ -1184,10 +1077,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
             self.tallies.flush_into(&mut self.counters);
         }
         self.max_latency_ms = self.max_latency_ms.max(done.latency_ms);
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.observe(o.latency_ms, done.latency_ms);
-            o.registry.observe(o.exec_ms, done.exec_ms);
-        }
 
         // While a crash or outage mask is active, drift detections are
         // suppressed: recovery-degraded samples would otherwise trigger
@@ -1196,7 +1085,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
             .faults
             .as_ref()
             .is_some_and(|f| f.drift_mask && now_ms < f.mask_until_ms);
-        let mut directive = None;
+        let mut outcome = IngestOutcome::default();
         if let Some(sizing) = &mut self.sizing {
             let c = &mut sizing.counters;
             if done.memory == sizing.original[done.fn_id] {
@@ -1218,49 +1107,35 @@ impl<S: TraceSink + 'static> Fleet<S> {
             c.samples_ingested += 1;
             // lint: allow(panic002) reason="sizing fleets install a monitor for every function, so the sample is always present"
             let sample = sample.expect("sizing fleets monitor every invocation");
-            // Diff the service's tallies around the ingest so the sizing
-            // loop's interior transitions surface as trace events without
-            // the service knowing about tracing.
-            let phase_before = sizing.service.phase(done.fn_id);
-            let drift_before = sizing.service.stats().drift_detections;
-            let suppressed_before = sizing.service.stats().drift_suppressed_by_fault;
-            let artifacts_before = sizing.service.plane_stats().artifact_updates;
-            directive = sizing.service.ingest_masked(done.fn_id, done.memory, sample, fault_masked);
-            if sizing.service.stats().drift_detections > drift_before {
-                self.sink.record(now_ms, TraceEvent::DriftDetected { fn_id: done.fn_id as u32 });
-                if let Some(o) = self.obs.as_mut() {
-                    o.registry.inc(o.drift_detections);
-                }
-            }
-            if sizing.service.stats().drift_suppressed_by_fault > suppressed_before {
-                self.sink.record(now_ms, TraceEvent::DriftSuppressed { fn_id: done.fn_id as u32 });
-            }
-            let phase_after = sizing.service.phase(done.fn_id);
-            if let (Some(from), Some(to)) = (phase_before, phase_after) {
-                if from != to {
-                    self.sink.record(
-                        now_ms,
-                        TraceEvent::PhaseTransition {
-                            fn_id: done.fn_id as u32,
-                            from: loop_phase(from),
-                            to: loop_phase(to),
-                        },
-                    );
-                }
-            }
-            let artifacts_after = sizing.service.plane_stats().artifact_updates;
-            if artifacts_after > artifacts_before {
-                self.sink.record(
-                    now_ms,
-                    TraceEvent::ArtifactUpdate { updates: artifacts_after as u64 },
-                );
-            }
+            outcome = sizing.service.ingest_masked(done.fn_id, done.memory, sample, fault_masked);
         }
-        if let Some(d) = directive {
+        self.trace_ingest(now_ms, done.fn_id, outcome);
+        if let Some(d) = outcome.directive {
             self.apply_directive(d, now_ms);
         }
         if self.check_invariants {
             self.assert_invariants(now_ms);
+        }
+    }
+
+    /// Records the sizing-loop transitions one ingest reported, in loop
+    /// order: drift, its suppression, the phase change, the artifact update.
+    fn trace_ingest(&mut self, now_ms: f64, fn_id: usize, outcome: IngestOutcome) {
+        let fn_id = fn_id as u32;
+        if outcome.drift_detected {
+            self.sink.record(now_ms, TraceEvent::DriftDetected { fn_id });
+        }
+        if outcome.drift_suppressed {
+            self.sink.record(now_ms, TraceEvent::DriftSuppressed { fn_id });
+        }
+        if let Some((from, to)) = outcome.transition {
+            self.sink.record(
+                now_ms,
+                TraceEvent::PhaseTransition { fn_id, from: loop_phase(from), to: loop_phase(to) },
+            );
+        }
+        if let Some(updates) = outcome.artifact_updates {
+            self.sink.record(now_ms, TraceEvent::ArtifactUpdate { updates: updates as u64 });
         }
     }
 
@@ -1294,9 +1169,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 cause: resize_cause(d.reason),
             },
         );
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.resizes);
-        }
         self.functions[d.fn_id].config = config.with_memory(d.target);
         let mem_mb = f64::from(d.target.mb());
         for host in &mut self.hosts {
@@ -1842,7 +1714,6 @@ mod tests {
                 KeepAliveKind::FixedTtl.build(2, default_ttl),
             )
             .with_sizing(quick_service(60))
-            .with_metrics()
             .with_trace(MemorySink::new());
             fleet.run_traced()
         };
@@ -1880,38 +1751,6 @@ mod tests {
         let (_, sink2) = run();
         assert_eq!(sink.to_jsonl(), sink2.to_jsonl());
         assert!(!sink.to_jsonl().is_empty());
-    }
-
-    #[test]
-    fn metrics_registry_mirrors_fleet_counters() {
-        let platform = Platform::aws_like();
-        let fleet = Fleet::new(
-            &platform,
-            &config(),
-            &functions(),
-            SchedulerKind::WarmFirst.build(),
-            KeepAliveKind::FixedTtl.build(2, platform.cold_start_model().idle_ttl_ms),
-        )
-        .with_metrics();
-        let mut sim = Simulation::new();
-        let mut fleet = fleet;
-        fleet.prime(&mut sim);
-        sim.run_to_completion(&mut fleet);
-        let reg = fleet.metrics().expect("metrics enabled");
-        let counter = |n: &str| reg.counter_value(n).unwrap();
-        let snapshot = reg.snapshot_json(sim.now().as_millis());
-        let dispatches = counter("dispatches");
-        let cold_starts = counter("cold_starts");
-        let throttles = counter("throttles");
-        let hist = reg.histogram_ref("latency_ms").expect("registered");
-        let (latency_count, latency_max) = (hist.count(), hist.max());
-        let (report, _) = fleet.into_report_and_sink(&sim);
-        assert_eq!(dispatches as usize, report.counters.completed);
-        assert_eq!(cold_starts as usize, report.counters.cold_starts);
-        assert_eq!(throttles as usize, report.counters.throttled());
-        assert_eq!(latency_count as usize, report.counters.completed);
-        assert!((latency_max - report.max_latency_ms).abs() < 1e-12);
-        assert!(snapshot.contains("\"latency_ms\""), "{snapshot}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   <https://ui.perfetto.dev>, plus a parser for round-trip analysis.
 //! - [`LogHistogram`]/[`MetricsRegistry`]: deterministic fixed-bucket
 //!   log-scale histograms and monotone counters, snapshottable to JSON at
-//!   any virtual time.
+//!   any virtual time; [`trace_metrics`] folds a recorded trace into one.
 //!
 //! The crate is dependency-free by design: it sits *below* the engine,
 //! fleet, and sizing control plane, which all record into it.
@@ -31,5 +31,5 @@ pub mod metrics;
 pub mod sink;
 
 pub use event::{FaultKind, LoopPhase, ResizeCause, ThrottleCause, TraceEvent, TraceRecord};
-pub use metrics::{CounterId, HistogramId, LogHistogram, MetricsRegistry};
+pub use metrics::{trace_metrics, CounterId, HistogramId, LogHistogram, MetricsRegistry};
 pub use sink::{MemorySink, NullSink, RingBufferSink, TraceSink};

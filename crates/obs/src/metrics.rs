@@ -5,7 +5,12 @@
 //! are byte-identical. Bucketing is derived directly from the IEEE-754 bit
 //! pattern (exponent plus the top mantissa bits), which is exact on every
 //! platform and needs no `ln`/`log2` calls.
+//!
+//! A fleet's metrics are not counted alongside its trace: [`trace_metrics`]
+//! folds the recorded trace into a registry after the run, so every series
+//! is a view of the events that produced it.
 
+use crate::event::{TraceEvent, TraceRecord};
 use std::fmt::Write as _;
 
 /// Number of mantissa bits used to subdivide each power of two.
@@ -291,6 +296,43 @@ impl MetricsRegistry {
     }
 }
 
+/// Folds a fleet trace into its metrics registry: ten counters, each
+/// counting one event kind (`evictions` sums `eviction.evicted`), and the
+/// `init_ms` histogram of cold-start initialization times, in record order.
+pub fn trace_metrics(records: &[TraceRecord]) -> MetricsRegistry {
+    let mut reg = MetricsRegistry::new();
+    let dispatches = reg.counter("dispatches");
+    let cold_starts = reg.counter("cold_starts");
+    let throttles = reg.counter("throttles");
+    let evictions = reg.counter("evictions");
+    let resizes = reg.counter("resizes_applied");
+    let shadow_routes = reg.counter("shadow_routes");
+    let drift_detections = reg.counter("drift_detections");
+    let invocation_failures = reg.counter("invocation_failures");
+    let retries = reg.counter("retries_scheduled");
+    let host_crashes = reg.counter("host_crashes");
+    let init_ms = reg.histogram("init_ms");
+    for record in records {
+        match record.event {
+            TraceEvent::Dispatch { .. } => reg.inc(dispatches),
+            TraceEvent::ColdStart { init_ms: v, .. } => {
+                reg.inc(cold_starts);
+                reg.observe(init_ms, v);
+            }
+            TraceEvent::Throttle { .. } => reg.inc(throttles),
+            TraceEvent::Eviction { evicted, .. } => reg.add(evictions, u64::from(evicted)),
+            TraceEvent::Resize { .. } => reg.inc(resizes),
+            TraceEvent::ShadowRoute { .. } => reg.inc(shadow_routes),
+            TraceEvent::DriftDetected { .. } => reg.inc(drift_detections),
+            TraceEvent::InvocationFailed { .. } => reg.inc(invocation_failures),
+            TraceEvent::RetryScheduled { .. } => reg.inc(retries),
+            TraceEvent::HostDown { .. } => reg.inc(host_crashes),
+            _ => {}
+        }
+    }
+    reg
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +416,45 @@ mod tests {
         reg.observe(h, 14.0);
         let hist = reg.histogram_ref("latency_ms").expect("registered");
         assert_eq!(hist.count(), 2);
+    }
+
+    #[test]
+    fn trace_metrics_counts_each_event_kind_once() {
+        use crate::event::{FaultKind, ResizeCause, ThrottleCause};
+        let events = [
+            TraceEvent::Dispatch { fn_id: 0, host: 0, memory_mb: 256, cold: true, shadow: false },
+            TraceEvent::ColdStart { fn_id: 0, host: 0, memory_mb: 256, init_ms: 120.0 },
+            TraceEvent::Eviction { host: 0, evicted: 3 },
+            TraceEvent::Dispatch { fn_id: 1, host: 1, memory_mb: 512, cold: true, shadow: true },
+            TraceEvent::ColdStart { fn_id: 1, host: 1, memory_mb: 512, init_ms: 250.0 },
+            TraceEvent::Eviction { host: 1, evicted: 2 },
+            TraceEvent::Throttle { fn_id: 1, cause: ThrottleCause::Capacity },
+            TraceEvent::ShadowRoute { fn_id: 1, base_mb: 256 },
+            TraceEvent::Resize { fn_id: 0, from_mb: 256, to_mb: 512, cause: ResizeCause::Recommend },
+            TraceEvent::DriftDetected { fn_id: 0 },
+            TraceEvent::DriftSuppressed { fn_id: 0 },
+            TraceEvent::HostDown { host: 1, failed_in_flight: 1, lost_warm: 4 },
+            TraceEvent::InvocationFailed { fn_id: 1, host: 1, attempt: 1, cause: FaultKind::HostCrash },
+            TraceEvent::RetryScheduled { fn_id: 1, attempt: 2, delay_ms: 50.0 },
+            TraceEvent::HostUp { host: 1, down_ms: 900.0 },
+        ];
+        let records: Vec<TraceRecord> = events
+            .iter()
+            .enumerate()
+            .map(|(i, &event)| TraceRecord { at_ms: i as f64, seq: i as u64, event })
+            .collect();
+        let reg = trace_metrics(&records);
+        let snap = reg.snapshot_json(14.0);
+        assert!(
+            snap.starts_with(
+                "{\"at_ms\":14,\"counters\":{\"dispatches\":2,\"cold_starts\":2,\"throttles\":1,\
+                 \"evictions\":5,\"resizes_applied\":1,\"shadow_routes\":1,\"drift_detections\":1,\
+                 \"invocation_failures\":1,\"retries_scheduled\":1,\"host_crashes\":1},\
+                 \"histograms\":{\"init_ms\":{\"count\":2,\"sum\":370,"
+            ),
+            "{snap}"
+        );
+        assert_eq!(trace_metrics(&[]).counter_value("dispatches"), Some(0));
     }
 
     #[test]
