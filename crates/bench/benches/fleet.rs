@@ -19,7 +19,7 @@ fn warmed_hosts() -> Vec<Host> {
     for (i, host) in hosts.iter_mut().enumerate() {
         for fn_id in 0..4 {
             if (i + fn_id) % 3 == 0 {
-                let (id, _) = host
+                let (id, _, _) = host
                     .try_begin(fn_id, 512.0, TTL, 0.0)
                     .expect("warming fits");
                 host.complete(fn_id, id, 5.0, TTL, 5.0);

@@ -678,13 +678,12 @@ impl<S: TraceSink + 'static> Fleet<S> {
         let selected =
             self.scheduler
                 .select_host(pool, mem_mb, &mut self.hosts, now_ms, &mut self.sched_rng);
+        // Placing may evict idle instances; try_begin reports how many, so
+        // they are attributed to this dispatch.
         let placement = selected.and_then(|h| {
-            // Placing may evict idle instances; the eviction delta around
-            // try_begin attributes them to this dispatch.
-            let evicted_before = self.hosts[h].evictions();
             self.hosts[h]
                 .try_begin(pool, mem_mb, self.default_ttl_ms, now_ms)
-                .map(|(p, cold)| (h, p, cold, self.hosts[h].evictions() - evicted_before))
+                .map(|(p, cold, evicted)| (h, p, cold, evicted))
         });
         let Some((host, placement, cold, evicted)) = placement else {
             // Capacity miss — shed via the existing 429 path. On a retry
@@ -1223,7 +1222,8 @@ impl<S: TraceSink + 'static> Fleet<S> {
     }
 
     /// The conservation and capacity invariants re-checked per event when
-    /// [`FleetConfig::check_invariants`] is set.
+    /// [`FleetConfig::check_invariants`] is set, including that every
+    /// host's running memory totals match a re-sum over its pools.
     ///
     /// # Panics
     ///
@@ -1269,6 +1269,13 @@ impl<S: TraceSink + 'static> Fleet<S> {
             assert!(
                 committed <= host.capacity_mb() + 1e-6,
                 "host {} over capacity: {committed} MB",
+                host.id()
+            );
+            let (running, resummed) = host.audit_mb(now_ms);
+            assert_eq!(
+                running,
+                resummed,
+                "host {} running (committed, idle) MB drifted from its pools",
                 host.id()
             );
         }

@@ -16,6 +16,28 @@
 //! requests cold-start into a fresh pool at the new size. A [`Placement`]
 //! remembers which generation an invocation started on so completions
 //! always release into the right pool.
+//!
+//! # Running totals and reaps
+//!
+//! The host keeps its committed and idle memory as running totals, updated
+//! on every provisioning, release, reuse, expiry and eviction, instead of
+//! re-summing its pools. Instance sizes are whole MB, so the totals are
+//! integers and equal a from-scratch re-sum exactly (the fleet's invariant
+//! checks compare the two after every event). A host-wide lower bound on
+//! the pools' next keep-alive deadlines decides whether anything can be
+//! due, so [`Host::committed_mb`], [`Host::free_mb`], [`Host::load`],
+//! [`Host::feasible`], [`Host::warm_idle`] and [`Host::try_begin`] cost
+//! O(1) while nothing is.
+//!
+//! Reaps happen where they always did: a host-wide query (committed, free
+//! or evictable memory, load, feasibility past the warm check, eviction)
+//! reaps every pool on the host, and [`Host::warm_idle`] and the start of
+//! [`Host::try_begin`] reap the function's active pool only — the bound
+//! just skips pools with nothing due. That matters because each pool's
+//! `wasted_idle_ms` is a float sum: a reap adds the windows of the
+//! instances it reclaims in provisioning order, and reaping a pool at
+//! other times would batch those additions differently and move reports
+//! in their last bits.
 
 use sizeless_platform::pool::{InstanceId, WarmPool};
 use std::collections::VecDeque;
@@ -25,7 +47,29 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 struct FnPool {
     mem_mb: f64,
+    /// `mem_mb` as an integer, the unit of the host's running totals.
+    mb: u64,
     pool: WarmPool,
+}
+
+impl FnPool {
+    fn new(mem_mb: f64, default_ttl_ms: f64) -> Self {
+        assert!(
+            mem_mb >= 0.0 && mem_mb.fract() == 0.0,
+            "instance memory must be a whole number of MB"
+        );
+        FnPool {
+            mem_mb,
+            mb: mem_mb as u64,
+            pool: WarmPool::new(default_ttl_ms),
+        }
+    }
+
+    /// Reaps the pool at `now_ms`; returns the MB its expired instances
+    /// held.
+    fn reap_mb(&mut self, now_ms: f64) -> u64 {
+        self.pool.reap(now_ms) as u64 * self.mb
+    }
 }
 
 /// A started invocation's location on a host: the pool generation it was
@@ -67,6 +111,13 @@ pub struct Host {
     capacity_mb: f64,
     /// Pool generations per function id.
     pools: Vec<FnGens>,
+    /// MB held by live (warm or busy) instances across every pool.
+    committed_mb: u64,
+    /// MB held by warm idle instances — the evictable part of
+    /// `committed_mb`.
+    idle_mb: u64,
+    /// No pool on the host has an instance due before this time.
+    next_deadline_ms: f64,
     busy_mb_ms: f64,
     resize_drains: usize,
     /// Counters folded in from pruned (fully drained) generations.
@@ -95,6 +146,9 @@ impl Host {
             id,
             capacity_mb,
             pools: Vec::new(),
+            committed_mb: 0,
+            idle_mb: 0,
+            next_deadline_ms: f64::INFINITY,
             busy_mb_ms: 0.0,
             resize_drains: 0,
             pruned_provisioned: 0,
@@ -137,6 +191,9 @@ impl Host {
                 self.pruned_wasted_mb_ms += dead.pool.wasted_idle_ms() * dead.mem_mb;
             }
         }
+        self.committed_mb = 0;
+        self.idle_mb = 0;
+        self.next_deadline_ms = f64::INFINITY;
         (lost_in_flight, lost_warm)
     }
 
@@ -157,26 +214,32 @@ impl Host {
 
     /// Ensures an *active* pool for `fn_id` at `mem_mb` exists, retiring a
     /// stale-size active pool if needed. Returns the active generation's
-    /// absolute id.
-    fn ensure_pool(&mut self, fn_id: usize, mem_mb: f64, default_ttl_ms: f64, now_ms: f64) -> usize {
+    /// absolute id and how many idle instances a retirement evicted.
+    fn ensure_pool(
+        &mut self,
+        fn_id: usize,
+        mem_mb: f64,
+        default_ttl_ms: f64,
+        now_ms: f64,
+    ) -> (usize, usize) {
         if self.pools.len() <= fn_id {
             self.pools.resize_with(fn_id + 1, FnGens::default);
         }
-        match self.pools[fn_id].active_mut() {
-            Some(active) if active.mem_mb == mem_mb => {}
-            Some(_) => {
-                // Defensive path: a placement at a size the host was never
-                // explicitly resized to — run the same transition a resize
-                // directive would.
-                self.retire_and_replace(fn_id, mem_mb, default_ttl_ms, now_ms);
+        let drained = match self.pools[fn_id].active_mut() {
+            Some(active) if active.mem_mb == mem_mb => 0,
+            // Defensive path: a placement at a size the host was never
+            // explicitly resized to — run the same transition a resize
+            // directive would.
+            Some(_) => self.retire_and_replace(fn_id, mem_mb, default_ttl_ms, now_ms),
+            None => {
+                self.pools[fn_id]
+                    .gens
+                    .push_back(FnPool::new(mem_mb, default_ttl_ms));
+                0
             }
-            None => self.pools[fn_id].gens.push_back(FnPool {
-                mem_mb,
-                pool: WarmPool::new(default_ttl_ms),
-            }),
-        }
+        };
         let gens = &self.pools[fn_id];
-        gens.first + gens.gens.len() - 1
+        (gens.first + gens.gens.len() - 1, drained)
     }
 
     /// The generation transition shared by [`Host::resize`] and the
@@ -191,17 +254,17 @@ impl Host {
         now_ms: f64,
     ) -> usize {
         let gens = &mut self.pools[fn_id];
-        let drained = gens
+        let active = gens
             .active_mut()
             // lint: allow(panic002) reason="resize only calls this after matching on an active pool"
-            .expect("transition requires an active pool")
-            .pool
-            .retire_idle(now_ms);
+            .expect("transition requires an active pool");
+        let expired_mb = active.reap_mb(now_ms);
+        let drained = active.pool.retire_idle(now_ms);
+        let freed_mb = expired_mb + drained as u64 * active.mb;
+        self.committed_mb -= freed_mb;
+        self.idle_mb -= freed_mb;
         self.resize_drains += drained;
-        gens.gens.push_back(FnPool {
-            mem_mb,
-            pool: WarmPool::new(default_ttl_ms),
-        });
+        gens.gens.push_back(FnPool::new(mem_mb, default_ttl_ms));
         self.prune_drained(fn_id);
         drained
     }
@@ -211,6 +274,10 @@ impl Host {
     /// evicted now, in-flight ones drain on completion — and a fresh pool
     /// at `new_mem_mb` becomes active. Returns the number of idle
     /// instances drained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_mem_mb` is not a whole number of MB.
     pub fn resize(&mut self, fn_id: usize, new_mem_mb: f64, default_ttl_ms: f64, now_ms: f64) -> usize {
         let Some(gens) = self.pools.get_mut(fn_id) else {
             return 0; // never placed here: nothing to drain
@@ -227,6 +294,9 @@ impl Host {
     /// instances, folding their counters into the host totals — repeated
     /// resizes therefore keep the per-dispatch scans O(live generations),
     /// not O(resizes ever applied). The active generation is never pruned.
+    /// A retired generation holds no idle instances (its idle ones were
+    /// evicted at retirement, its busy ones are reclaimed on release), so
+    /// pruning it leaves the memory totals alone.
     fn prune_drained(&mut self, fn_id: usize) {
         let gens = &mut self.pools[fn_id];
         while gens.gens.len() > 1 {
@@ -250,14 +320,27 @@ impl Host {
         self.pools.get(fn_id).map_or(0, |g| g.gens.len())
     }
 
+    /// Reaps every pool on the host at `now_ms`, skipping the pools (or,
+    /// through the host-wide bound, the whole host) with nothing due.
+    fn reap_all(&mut self, now_ms: f64) {
+        if now_ms < self.next_deadline_ms {
+            return;
+        }
+        let mut next_deadline = f64::INFINITY;
+        for fp in self.pools.iter_mut().flat_map(|g| g.gens.iter_mut()) {
+            let expired_mb = fp.reap_mb(now_ms);
+            self.committed_mb -= expired_mb;
+            self.idle_mb -= expired_mb;
+            next_deadline = next_deadline.min(fp.pool.next_deadline_ms());
+        }
+        self.next_deadline_ms = next_deadline;
+    }
+
     /// Memory committed to live (warm or busy) instances at `now_ms`, MB.
     /// Draining generations still commit for their in-flight instances.
     pub fn committed_mb(&mut self, now_ms: f64) -> f64 {
-        self.pools
-            .iter_mut()
-            .flat_map(|g| g.gens.iter_mut())
-            .map(|fp| fp.pool.live_at(now_ms) as f64 * fp.mem_mb)
-            .sum()
+        self.reap_all(now_ms);
+        self.committed_mb as f64
     }
 
     /// Uncommitted memory at `now_ms`, MB.
@@ -276,19 +359,20 @@ impl Host {
         if !self.available {
             return 0;
         }
-        match self.pools.get_mut(fn_id).and_then(FnGens::active_mut) {
-            Some(fp) => fp.pool.warm_idle_at(now_ms),
-            None => 0,
-        }
+        let Some(fp) = self.pools.get_mut(fn_id).and_then(FnGens::active_mut) else {
+            return 0;
+        };
+        let expired_mb = fp.reap_mb(now_ms);
+        let idle = fp.pool.warm_idle_at(now_ms);
+        self.committed_mb -= expired_mb;
+        self.idle_mb -= expired_mb;
+        idle
     }
 
     /// Memory reclaimable by evicting idle instances (any function), MB.
     fn evictable_idle_mb(&mut self, now_ms: f64) -> f64 {
-        self.pools
-            .iter_mut()
-            .flat_map(|g| g.gens.iter_mut())
-            .map(|fp| fp.pool.warm_idle_at(now_ms) as f64 * fp.mem_mb)
-            .sum()
+        self.reap_all(now_ms);
+        self.idle_mb as f64
     }
 
     /// Whether a request for `fn_id` at `mem_mb` could start on this host
@@ -312,64 +396,76 @@ impl Host {
             .is_some_and(|fp| fp.mem_mb == mem_mb)
     }
 
-    /// Evicts the least-recently released idle instance across all pools.
-    /// Returns `false` when nothing is idle.
+    /// Evicts the least-recently released idle instance across all pools,
+    /// ties to the lowest (function, generation). Returns `false` when
+    /// nothing is idle. Scans every pool's front, which is fine: evictions
+    /// are rare next to dispatches.
     fn evict_globally_lru(&mut self, now_ms: f64) -> bool {
+        self.reap_all(now_ms);
         let victim = self
             .pools
             .iter_mut()
             .flat_map(|g| g.gens.iter_mut())
-            .map(|fp| &mut fp.pool)
-            .filter_map(|pool| {
-                let t = pool.oldest_idle_release_ms(now_ms)?;
-                Some((pool, t))
-            })
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(pool, _)| pool);
-        match victim {
-            Some(pool) => pool.evict_lru_idle(now_ms),
-            None => false,
-        }
+            .filter_map(|fp| Some((fp.pool.oldest_idle_release_ms(now_ms)?, fp)))
+            .min_by(|(a, _), (b, _)| a.total_cmp(b))
+            .map(|(_, fp)| fp);
+        let Some(fp) = victim else {
+            return false;
+        };
+        let mb = fp.mb;
+        let evicted = fp.pool.evict_lru_idle(now_ms);
+        self.committed_mb -= mb;
+        self.idle_mb -= mb;
+        evicted
     }
 
     /// Starts an invocation of `fn_id` on this host: reuses a warm instance
     /// or places a cold one (evicting idle instances if memory is tight).
-    /// Returns `None` when the host cannot serve the request.
+    /// Returns the placement, whether the start is cold, and how many idle
+    /// instances the host evicted for it (including a stale-size
+    /// generation's retirement); `None` when the host cannot serve the
+    /// request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem_mb` is not a whole number of MB.
     pub fn try_begin(
         &mut self,
         fn_id: usize,
         mem_mb: f64,
         default_ttl_ms: f64,
         now_ms: f64,
-    ) -> Option<(Placement, bool)> {
+    ) -> Option<(Placement, bool, usize)> {
         if !self.available {
             return None;
         }
-        let generation = self.ensure_pool(fn_id, mem_mb, default_ttl_ms, now_ms);
-        if self.warm_idle(fn_id, now_ms) > 0 {
-            return self.pools[fn_id]
-                .get_mut(generation)
-                // lint: allow(panic002) reason="ensure_pool above just returned this generation as active"
-                .expect("active generation exists")
-                .pool
-                .try_begin(now_ms)
-                .map(|(instance, cold)| (Placement { generation, instance }, cold));
-        }
-        if mem_mb > self.capacity_mb {
-            return None;
-        }
-        while self.free_mb(now_ms) + 1e-9 < mem_mb {
-            if !self.evict_globally_lru(now_ms) {
+        let (generation, mut evicted) = self.ensure_pool(fn_id, mem_mb, default_ttl_ms, now_ms);
+        if self.warm_idle(fn_id, now_ms) == 0 {
+            if mem_mb > self.capacity_mb {
                 return None;
             }
+            while self.free_mb(now_ms) + 1e-9 < mem_mb {
+                if !self.evict_globally_lru(now_ms) {
+                    return None;
+                }
+                evicted += 1;
+            }
         }
-        self.pools[fn_id]
+        let fp = self.pools[fn_id]
             .get_mut(generation)
             // lint: allow(panic002) reason="ensure_pool above just returned this generation as active"
-            .expect("active generation exists")
-            .pool
-            .try_begin(now_ms)
-            .map(|(instance, cold)| (Placement { generation, instance }, cold))
+            .expect("active generation exists");
+        let (instance, cold) = fp.pool.begin(now_ms);
+        if cold {
+            self.committed_mb += fp.mb;
+        } else {
+            self.idle_mb -= fp.mb;
+        }
+        let placement = Placement {
+            generation,
+            instance,
+        };
+        Some((placement, cold, evicted))
     }
 
     /// Completes an invocation at `finish_ms`: releases the instance with
@@ -394,10 +490,30 @@ impl Host {
         let ttl = if retired { 0.0 } else { ttl_ms };
         fp.pool.complete_with_ttl(placement.instance, finish_ms, ttl);
         self.busy_mb_ms += busy_ms * fp.mem_mb;
+        // A zero window reclaims the instance on release.
+        if ttl == 0.0 {
+            self.committed_mb -= fp.mb;
+        } else {
+            self.idle_mb += fp.mb;
+            self.next_deadline_ms = self.next_deadline_ms.min(fp.pool.next_deadline_ms());
+        }
         if retired {
             self.resize_drains += 1;
             self.prune_drained(fn_id);
         }
+    }
+
+    /// `(committed, idle)` MB as of `now_ms`, twice: the running totals,
+    /// then the same two re-summed over every pool from scratch. They
+    /// must agree.
+    pub(crate) fn audit_mb(&mut self, now_ms: f64) -> ((u64, u64), (u64, u64)) {
+        self.reap_all(now_ms);
+        let (mut committed, mut idle) = (0, 0);
+        for fp in self.pools.iter_mut().flat_map(|g| g.gens.iter_mut()) {
+            committed += fp.pool.live_at(now_ms) as u64 * fp.mb;
+            idle += fp.pool.warm_idle_at(now_ms) as u64 * fp.mb;
+        }
+        ((self.committed_mb, self.idle_mb), (committed, idle))
     }
 
     /// Invocations currently executing on this host.
@@ -469,8 +585,11 @@ impl Host {
     /// idle memory-time.
     pub fn finalize(&mut self, end_ms: f64) {
         for fp in self.pools.iter_mut().flat_map(|g| g.gens.iter_mut()) {
-            fp.pool.finalize(end_ms);
+            let freed_mb = fp.pool.finalize(end_ms) as u64 * fp.mb;
+            self.committed_mb -= freed_mb;
+            self.idle_mb -= freed_mb;
         }
+        self.next_deadline_ms = f64::INFINITY;
     }
 }
 
@@ -483,7 +602,7 @@ mod tests {
     #[test]
     fn placement_commits_memory() {
         let mut h = Host::new(0, 1024.0);
-        let (_, cold) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (_, cold, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
         assert!(cold);
         assert_eq!(h.committed_mb(0.0), 512.0);
         assert_eq!(h.free_mb(0.0), 512.0);
@@ -502,9 +621,9 @@ mod tests {
     #[test]
     fn warm_reuse_avoids_cold_start() {
         let mut h = Host::new(0, 1024.0);
-        let (p, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (p, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
         h.complete(0, p, 50.0, TTL, 50.0);
-        let (_, cold) = h.try_begin(0, 512.0, TTL, 100.0).unwrap();
+        let (_, cold, _) = h.try_begin(0, 512.0, TTL, 100.0).unwrap();
         assert!(!cold);
         assert_eq!(h.provisioned(), 1);
     }
@@ -513,13 +632,14 @@ mod tests {
     fn evicts_idle_instance_of_other_function_to_fit() {
         let mut h = Host::new(0, 1024.0);
         // Function 0 fills the host, then goes idle.
-        let (a, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
-        let (b, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (a, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (b, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
         h.complete(0, a, 40.0, TTL, 40.0);
         h.complete(0, b, 60.0, TTL, 60.0);
         // Function 1 needs 768 MB: both idle instances must go.
-        let (_, cold) = h.try_begin(1, 768.0, TTL, 100.0).unwrap();
+        let (_, cold, evicted) = h.try_begin(1, 768.0, TTL, 100.0).unwrap();
         assert!(cold);
+        assert_eq!(evicted, 2, "the placement reports its evictions");
         assert_eq!(h.evictions(), 2);
         assert_eq!(h.committed_mb(100.0), 768.0);
         // Wasted time: (100-40) + (100-60) ms at 512 MB each.
@@ -527,11 +647,25 @@ mod tests {
     }
 
     #[test]
+    fn a_placement_at_a_new_size_reports_the_retired_warmth_as_evicted() {
+        let mut h = Host::new(0, 4096.0);
+        let (p, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        h.complete(0, p, 10.0, TTL, 10.0);
+        // No resize directive reached this host: placing at 1024 MB retires
+        // the 512 MB generation, evicting its idle instance.
+        let (_, cold, evicted) = h.try_begin(0, 1024.0, TTL, 20.0).unwrap();
+        assert!(cold);
+        assert_eq!(evicted, 1);
+        assert_eq!(h.evictions(), 1);
+        assert_eq!(h.committed_mb(20.0), 1024.0);
+    }
+
+    #[test]
     fn feasibility_tracks_memory_and_warmth() {
         let mut h = Host::new(0, 1024.0);
         assert!(!h.feasible(0, 2048.0, 0.0), "larger than the host");
         assert!(h.feasible(0, 1024.0, 0.0));
-        let (p, _) = h.try_begin(0, 1024.0, TTL, 0.0).unwrap();
+        let (p, _, _) = h.try_begin(0, 1024.0, TTL, 0.0).unwrap();
         assert!(!h.feasible(1, 512.0, 1.0), "fully busy");
         h.complete(0, p, 10.0, TTL, 10.0);
         assert!(h.feasible(0, 1024.0, 20.0), "warm instance");
@@ -541,7 +675,7 @@ mod tests {
     #[test]
     fn utilization_accounting() {
         let mut h = Host::new(0, 1024.0);
-        let (p, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (p, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
         h.complete(0, p, 200.0, TTL, 200.0);
         assert_eq!(h.busy_mb_ms(), 200.0 * 512.0);
         h.finalize(1_200.0);
@@ -553,8 +687,8 @@ mod tests {
     fn resize_evicts_idle_and_drains_in_flight_at_old_size() {
         let mut h = Host::new(0, 4096.0);
         // Two instances at 512 MB: one goes idle, one stays in flight.
-        let (idle, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
-        let (busy, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (idle, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (busy, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
         h.complete(0, idle, 50.0, TTL, 50.0);
 
         assert_eq!(h.resize(0, 1024.0, TTL, 100.0), 1, "idle instance drained");
@@ -563,7 +697,7 @@ mod tests {
         assert_eq!(h.warm_idle(0, 100.0), 0, "old-size warmth is not reusable");
 
         // New requests cold-start at the new size.
-        let (fresh, cold) = h.try_begin(0, 1024.0, TTL, 110.0).unwrap();
+        let (fresh, cold, _) = h.try_begin(0, 1024.0, TTL, 110.0).unwrap();
         assert!(cold);
         assert_eq!(h.committed_mb(110.0), 512.0 + 1024.0);
 
@@ -578,7 +712,7 @@ mod tests {
         // The new-size instance keeps normal keep-alive semantics.
         h.complete(0, fresh, 300.0, TTL, 190.0);
         assert_eq!(h.warm_idle(0, 310.0), 1);
-        let (_, cold2) = h.try_begin(0, 1024.0, TTL, 320.0).unwrap();
+        let (_, cold2, _) = h.try_begin(0, 1024.0, TTL, 320.0).unwrap();
         assert!(!cold2, "warm reuse at the new size");
     }
 
@@ -586,17 +720,17 @@ mod tests {
     fn resize_to_same_size_or_unknown_function_is_a_no_op() {
         let mut h = Host::new(0, 1024.0);
         assert_eq!(h.resize(5, 512.0, TTL, 0.0), 0, "function never placed");
-        let (p, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (p, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
         h.complete(0, p, 10.0, TTL, 10.0);
         assert_eq!(h.resize(0, 512.0, TTL, 20.0), 0, "same size keeps warmth");
-        let (_, cold) = h.try_begin(0, 512.0, TTL, 30.0).unwrap();
+        let (_, cold, _) = h.try_begin(0, 512.0, TTL, 30.0).unwrap();
         assert!(!cold);
     }
 
     #[test]
     fn drained_generations_are_pruned_with_counters_preserved() {
         let mut h = Host::new(0, 8192.0);
-        let (a, _) = h.try_begin(0, 256.0, TTL, 0.0).unwrap();
+        let (a, _, _) = h.try_begin(0, 256.0, TTL, 0.0).unwrap();
         h.complete(0, a, 50.0, TTL, 50.0);
         // The resize drains the idle instance; the old generation is empty
         // and is pruned immediately, counters folded into host totals.
@@ -614,7 +748,7 @@ mod tests {
         assert_eq!(h.generations(0), 1);
 
         // In-flight work delays pruning exactly until its completion.
-        let (b, _) = h.try_begin(0, 512.0, TTL, 300.0).unwrap();
+        let (b, _, _) = h.try_begin(0, 512.0, TTL, 300.0).unwrap();
         h.resize(0, 1024.0, TTL, 310.0);
         assert_eq!(h.generations(0), 2, "draining generation retained");
         h.complete(0, b, 330.0, TTL, 30.0);
@@ -632,7 +766,7 @@ mod tests {
         for (i, &mb) in sizes.iter().enumerate() {
             let now = i as f64 * 100.0;
             h.resize(0, mb, TTL, now);
-            let (p, cold) = h.try_begin(0, mb, TTL, now + 10.0).unwrap();
+            let (p, cold, _) = h.try_begin(0, mb, TTL, now + 10.0).unwrap();
             assert!(cold, "every generation cold-starts");
             in_flight.push((p, mb));
         }
@@ -654,9 +788,9 @@ mod tests {
     #[test]
     fn crash_loses_warmth_and_in_flight_and_refuses_placement() {
         let mut h = Host::new(0, 2048.0);
-        let (idle, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
-        let (_busy, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
-        let (_other, _) = h.try_begin(1, 256.0, TTL, 0.0).unwrap();
+        let (idle, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (_busy, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (_other, _, _) = h.try_begin(1, 256.0, TTL, 0.0).unwrap();
         h.complete(0, idle, 40.0, TTL, 40.0);
 
         assert!(h.is_available());
@@ -675,9 +809,9 @@ mod tests {
     #[test]
     fn crash_and_rejoin_keep_counters_conserved() {
         let mut h = Host::new(0, 2048.0);
-        let (a, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (a, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
         h.complete(0, a, 50.0, TTL, 50.0);
-        let (_b, _) = h.try_begin(1, 256.0, TTL, 60.0).unwrap();
+        let (_b, _, _) = h.try_begin(1, 256.0, TTL, 60.0).unwrap();
         let busy_before = h.busy_mb_ms();
 
         let (lost_in_flight, lost_warm) = h.crash(100.0);
@@ -695,7 +829,7 @@ mod tests {
         // Rejoin serves cold, with fresh generations.
         h.rejoin();
         assert!(h.is_available());
-        let (_, cold) = h.try_begin(0, 512.0, TTL, 200.0).unwrap();
+        let (_, cold, _) = h.try_begin(0, 512.0, TTL, 200.0).unwrap();
         assert!(cold, "no warmth survives a crash");
         assert_eq!(h.provisioned(), 3);
         assert_eq!(h.in_flight(), 1);
@@ -707,7 +841,7 @@ mod tests {
         // The fleet must recognize crashed placements by epoch and never
         // release them back into a host — doing so is a logic error.
         let mut h = Host::new(0, 1024.0);
-        let (p, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
+        let (p, _, _) = h.try_begin(0, 512.0, TTL, 0.0).unwrap();
         let _ = h.crash(10.0);
         h.rejoin();
         let _ = h.try_begin(0, 512.0, TTL, 20.0).unwrap();

@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn warm_first_prefers_warm_host() {
         let mut hosts = fleet_of(3);
-        let (id, _) = hosts[2].try_begin(0, 256.0, TTL, 0.0).unwrap();
+        let (id, _, _) = hosts[2].try_begin(0, 256.0, TTL, 0.0).unwrap();
         hosts[2].complete(0, id, 10.0, TTL, 10.0);
         let mut s = WarmFirst;
         assert_eq!(s.select_host(0, 256.0, &mut hosts, 20.0, &mut rng()), Some(2));

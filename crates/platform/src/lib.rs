@@ -26,8 +26,8 @@
 //!   and a detailed [`ResourceUsage`] record that
 //!   the telemetry crate converts into the paper's 25 monitoring metrics.
 //! * [`coldstart`] — initialization-latency model.
-//! * [`pool`] — the instance model: [`WarmPool`]s
-//!   with keep-alive TTLs, capacity bounds, eviction, and wasted-idle-time
+//! * [`pool`] — the instance model: slab-backed [`WarmPool`]s
+//!   with per-release keep-alive TTLs, eviction, and wasted-idle-time
 //!   accounting, shared by the measurement harness and the fleet simulator.
 //! * [`platform`] — the façade: deploy a [`FunctionConfig`],
 //!   invoke it, get an [`InvocationRecord`]

@@ -4,11 +4,15 @@
 //! the fleet re-asserts after *every* simulation event that
 //!
 //! * host memory capacity is never exceeded,
-//! * per-function and account concurrency limits are never exceeded, and
-//! * `throttled + completed + in_flight == submitted` (conservation);
+//! * per-function and account concurrency limits are never exceeded,
+//! * `throttled + completed + in_flight == submitted` (conservation), and
+//! * each host's running committed and idle memory totals equal a re-sum
+//!   over its pools;
 //!
 //! a violation panics inside the run and fails the property. The final
-//! report is then checked for end-state consistency.
+//! report is then checked for end-state consistency, and some properties
+//! check outcomes that follow from the policy alone (no keep-alive means
+//! every start is cold), independent of any recorded output.
 
 use proptest::prelude::*;
 use sizeless::fleet::{
@@ -201,6 +205,33 @@ proptest! {
         );
         prop_assert_eq!(report.counters.throttled(), 0);
         prop_assert_eq!(report.counters.submitted, report.counters.completed);
+        // Memory never runs short, so nothing is ever evicted to make room.
+        prop_assert_eq!(report.evictions, 0);
+    }
+
+    /// Without keep-alive every instance is reclaimed on release: each
+    /// started request cold-starts its own instance and no memory ever
+    /// sits idle — under any scheduler, cluster shape and limits.
+    #[test]
+    fn no_keepalive_makes_every_start_cold(
+        functions in functions_strategy(),
+        config in config_strategy(),
+        scheduler_idx in 0usize..4,
+    ) {
+        let platform = Platform::aws_like();
+        let report = run_fleet(
+            &platform,
+            &config,
+            &functions,
+            SchedulerKind::ALL[scheduler_idx],
+            KeepAliveKind::NoKeepAlive,
+        );
+        prop_assert_eq!(report.counters.cold_starts, report.counters.completed);
+        if report.counters.completed > 0 {
+            prop_assert_eq!(report.metrics.cold_start_rate, 1.0);
+        }
+        prop_assert_eq!(report.counters.wasted_mb_ms, 0.0);
+        prop_assert_eq!(report.provisioned_instances, report.counters.cold_starts);
     }
 
     /// Bit-identical reports from identical seeds, regardless of policy.
