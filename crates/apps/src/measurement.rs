@@ -8,9 +8,9 @@
 
 use crate::{AppFunction, CaseStudyApp};
 use serde::{Deserialize, Serialize};
-use sizeless_platform::{MemorySize, Platform};
+use sizeless_platform::{MemorySize, Platform, ResourceProfile};
 use sizeless_telemetry::MetricVector;
-use sizeless_workload::{measure_parallel, ExperimentConfig};
+use sizeless_workload::{map_parallel, run_experiment, ExperimentConfig, Measurement};
 
 /// How to measure an application.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -148,70 +148,65 @@ pub fn measure_functions(
     functions: &[AppFunction],
     plan: &MeasurementPlan,
 ) -> AppMeasurement {
-    // Jobs: function × size × repetition, flattened for the parallel pool.
-    let mut jobs = Vec::new();
-    for f in functions {
-        for &m in &MemorySize::STANDARD {
-            for _rep in 0..plan.repetitions {
-                jobs.push((&f.profile, m));
-            }
-        }
-    }
-    // Each repetition needs an independent stream: seed it by job index.
-    // measure_parallel seeds per (function, size) from the config seed, so
-    // we run one call per repetition offset instead.
-    let mut per_rep: Vec<Vec<sizeless_workload::Measurement>> =
-        Vec::with_capacity(plan.repetitions);
-    let base_jobs: Vec<(&sizeless_platform::ResourceProfile, MemorySize)> = functions
-        .iter()
-        .flat_map(|f| MemorySize::STANDARD.iter().map(move |&m| (&f.profile, m)))
-        .collect();
-    for rep in 0..plan.repetitions {
-        let cfg = ExperimentConfig {
-            duration_ms: plan.duration_ms,
-            rps: plan.rps,
-            seed: plan.seed.wrapping_add(1 + rep as u64),
-        };
-        per_rep.push(measure_parallel(platform, &base_jobs, &cfg, plan.threads));
-    }
-
     let sizes = MemorySize::STANDARD.len();
+    // One job per (function, size) runs all its repetitions, so only the
+    // samples of the jobs in flight are held at once.
+    let measured = map_parallel(plan.threads, functions.len() * sizes, |job| {
+        let profile = &functions[job / sizes].profile;
+        measure_size(platform, profile, MemorySize::STANDARD[job % sizes], plan)
+    });
     let functions_out = functions
         .iter()
-        .enumerate()
-        .map(|(fi, f)| {
-            let mut metrics = Vec::with_capacity(sizes);
-            let mut mean_exec = Vec::with_capacity(sizes);
-            let mut mean_cost = Vec::with_capacity(sizes);
-            for si in 0..sizes {
-                let idx = fi * sizes + si;
-                // Pool all repetitions' samples for the metric vector.
-                let pooled: Vec<&sizeless_telemetry::InvocationSample> = per_rep
-                    .iter()
-                    .flat_map(|rep| rep[idx].store.samples())
-                    .collect();
-                metrics.push(MetricVector::from_samples(pooled));
-                mean_exec.push(
-                    per_rep.iter().map(|r| r[idx].summary.mean_execution_ms).sum::<f64>()
-                        / plan.repetitions as f64,
-                );
-                mean_cost.push(
-                    per_rep.iter().map(|r| r[idx].summary.mean_cost_usd).sum::<f64>()
-                        / plan.repetitions as f64,
-                );
-            }
-            FunctionMeasurement {
-                name: f.name.to_string(),
-                metrics,
-                mean_execution_ms: mean_exec,
-                mean_cost_usd: mean_cost,
-            }
+        .zip(measured.chunks(sizes))
+        .map(|(f, by_size)| FunctionMeasurement {
+            name: f.name.to_string(),
+            metrics: by_size.iter().map(|s| s.metrics.clone()).collect(),
+            mean_execution_ms: by_size.iter().map(|s| s.mean_execution_ms).collect(),
+            mean_cost_usd: by_size.iter().map(|s| s.mean_cost_usd).collect(),
         })
         .collect();
 
     AppMeasurement {
         app_name: app_name.to_string(),
         functions: functions_out,
+    }
+}
+
+/// One function's measurement at one size, over all repetitions.
+struct SizeMeasurement {
+    metrics: MetricVector,
+    mean_execution_ms: f64,
+    mean_cost_usd: f64,
+}
+
+/// Runs the plan's repetitions of `profile` at `memory`, pools their samples
+/// into one metric vector and averages their summaries.
+fn measure_size(
+    platform: &Platform,
+    profile: &ResourceProfile,
+    memory: MemorySize,
+    plan: &MeasurementPlan,
+) -> SizeMeasurement {
+    // Each repetition needs an independent stream: seed it by repetition.
+    let reps: Vec<Measurement> = (0..plan.repetitions)
+        .map(|rep| {
+            let cfg = ExperimentConfig {
+                duration_ms: plan.duration_ms,
+                rps: plan.rps,
+                seed: plan.seed.wrapping_add(1 + rep as u64),
+            };
+            run_experiment(platform, profile, memory, &cfg)
+        })
+        .collect();
+    let n = plan.repetitions as f64;
+    SizeMeasurement {
+        metrics: MetricVector::from_samples(reps.iter().flat_map(|r| r.store.samples())),
+        mean_execution_ms: reps
+            .iter()
+            .map(|r| r.summary.mean_execution_ms)
+            .sum::<f64>()
+            / n,
+        mean_cost_usd: reps.iter().map(|r| r.summary.mean_cost_usd).sum::<f64>() / n,
     }
 }
 
@@ -253,7 +248,16 @@ mod tests {
             CaseStudyApp::EventProcessing,
             &MeasurementPlan::quick(),
         );
+        let serial = measure_app(
+            &platform,
+            CaseStudyApp::EventProcessing,
+            &MeasurementPlan {
+                threads: 1,
+                ..MeasurementPlan::quick()
+            },
+        );
         assert_eq!(a, b);
+        assert_eq!(a, serial);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use sizeless_core::optimizer::{MemoryOptimizer, Tradeoff};
 use sizeless_engine::RngStream;
 use sizeless_platform::{MemorySize, Platform, PricingModel, ResourceProfile, Stage};
 use sizeless_stats::{cliffs_delta, mann_whitney_u};
-use sizeless_telemetry::{MetricVector, ResourceMonitor};
+use sizeless_telemetry::{InvocationSample, MetricVector, ResourceMonitor};
 use sizeless_workload::{run_experiment, ExperimentConfig};
 use std::collections::BTreeMap;
 
@@ -33,17 +33,28 @@ fn bench_experiment(c: &mut Criterion) {
     });
 }
 
-fn sample_metric_vector() -> MetricVector {
+fn monitored_samples(n: usize) -> Vec<InvocationSample> {
     let platform = Platform::aws_like();
     let monitor = ResourceMonitor::new();
     let mut rng = RngStream::from_seed(2, "bench-mv");
-    let samples: Vec<_> = (0..500)
+    (0..n)
         .map(|i| {
             let out = platform.execute(&profile(), MemorySize::MB_256, &mut rng);
             monitor.observe(i as f64 * 33.0, &out.usage, &mut rng)
         })
-        .collect();
-    MetricVector::from_samples(samples.iter())
+        .collect()
+}
+
+fn sample_metric_vector() -> MetricVector {
+    MetricVector::from_samples(monitored_samples(500).iter())
+}
+
+fn bench_metric_vector(c: &mut Criterion) {
+    // One dataset experiment: 15 s at 30 rps.
+    let samples = monitored_samples(450);
+    c.bench_function("pipeline/metric_vector_from_samples_450", |b| {
+        b.iter(|| MetricVector::from_samples(samples.iter()))
+    });
 }
 
 fn bench_feature_extraction(c: &mut Criterion) {
@@ -93,13 +104,14 @@ fn bench_monitor(c: &mut Criterion) {
 #[allow(missing_docs)]
 mod harness {
     use super::{
-        bench_experiment, bench_feature_extraction, bench_monitor, bench_optimizer,
-        bench_stat_tests,
+        bench_experiment, bench_feature_extraction, bench_metric_vector, bench_monitor,
+        bench_optimizer, bench_stat_tests,
     };
     use criterion::criterion_group;
     criterion_group!(
         benches,
         bench_experiment,
+        bench_metric_vector,
         bench_feature_extraction,
         bench_optimizer,
         bench_stat_tests,

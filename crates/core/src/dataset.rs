@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use sizeless_engine::RngStream;
 use sizeless_funcgen::{FunctionGenerator, GeneratorConfig};
 use sizeless_platform::{MemorySize, Platform};
-use sizeless_workload::{measure_parallel, ExperimentConfig};
+use sizeless_workload::{map_parallel, run_experiment, ExperimentConfig};
 use sizeless_telemetry::MetricVector;
 use std::path::Path;
 
@@ -148,7 +148,13 @@ impl TrainingDataset {
             .flat_map(|f| MemorySize::STANDARD.iter().map(move |&m| (&f.profile, m)))
             .collect();
         let experiment = cfg.experiment.with_seed(cfg.seed.wrapping_add(0x5EED));
-        let measurements = measure_parallel(platform, &jobs, &experiment, cfg.threads);
+        // Keep only each experiment's aggregates, so the samples of the
+        // jobs in flight are all that is held at once.
+        let measurements = map_parallel(cfg.threads, jobs.len(), |i| {
+            let (profile, memory) = jobs[i];
+            let m = run_experiment(platform, profile, memory, &experiment);
+            (m.metrics, m.summary)
+        });
 
         let records = functions
             .iter()
@@ -158,12 +164,15 @@ impl TrainingDataset {
                 let slice = &measurements[base..base + MemorySize::STANDARD.len()];
                 FunctionRecord {
                     name: f.profile.name().to_string(),
-                    metrics: slice.iter().map(|m| m.metrics.clone()).collect(),
+                    metrics: slice.iter().map(|(metrics, _)| metrics.clone()).collect(),
                     mean_execution_ms: slice
                         .iter()
-                        .map(|m| m.summary.mean_execution_ms)
+                        .map(|(_, summary)| summary.mean_execution_ms)
                         .collect(),
-                    mean_cost_usd: slice.iter().map(|m| m.summary.mean_cost_usd).collect(),
+                    mean_cost_usd: slice
+                        .iter()
+                        .map(|(_, summary)| summary.mean_cost_usd)
+                        .collect(),
                 }
             })
             .collect();

@@ -9,10 +9,11 @@
 //! [`Matrix::matmul_into`], [`Matrix::matmul_transpose_a_into`] (`Aᵀ·B`
 //! without materializing `Aᵀ`), and [`Matrix::matmul_transpose_b_into`]
 //! (`A·Bᵀ` likewise) — which write into a caller-owned output matrix whose
-//! allocation is reused across calls. All three use a register-tiled
-//! microkernel ([`MR`]`×`[`NR`] accumulators held in registers) so the
-//! active slice of the right-hand operand (`n × NR × 8` bytes per column
-//! chunk) stays L1-resident while the inner loop streams over `k`.
+//! allocation is reused across calls. All three use register-tiled
+//! microkernels (up to [`MR2`]`×`[`NR`] = 8×8 accumulators held in
+//! registers) so the active slice of the right-hand operand (`n × NR × 8`
+//! bytes per column chunk) stays L1-resident while the inner loop streams
+//! over `k`.
 //!
 //! Every kernel accumulates each output element as a single chain of adds
 //! in ascending-`k` order — exactly the order of the textbook triple loop —
@@ -30,6 +31,8 @@ const MR2: usize = 8;
 /// Output columns processed per microkernel tile (two AVX2 lanes of f64,
 /// one AVX-512 lane; `n × NR` doubles of the B operand stay L1-resident).
 const NR: usize = 8;
+/// Side of the square tiles [`Matrix::transpose_into`] copies through.
+const TB: usize = 16;
 
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -431,11 +434,24 @@ impl Matrix {
     /// layer per batch: the FMA-vectorized [`Matrix::matmul_into`] on the
     /// staged transpose outpaces the gather-bound `A·Bᵀ` dot-product form
     /// for the training shapes, and the result is bit-identical.
+    ///
+    /// The copy runs in `TB`×`TB` tiles: a column-order write at a
+    /// row-length stride would touch a new cache line per element and keep
+    /// evicting its own lines, while one tile's source and destination rows
+    /// stay L1-resident until the tile is done.
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.resize_for_overwrite(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        let (rows, cols) = (self.rows, self.cols);
+        out.resize_for_overwrite(cols, rows);
+        for r0 in (0..rows).step_by(TB) {
+            let r1 = (r0 + TB).min(rows);
+            for c0 in (0..cols).step_by(TB) {
+                let c1 = (c0 + TB).min(cols);
+                for c in c0..c1 {
+                    let dst = &mut out.data[c * rows + r0..c * rows + r1];
+                    for (d, r) in dst.iter_mut().zip(r0..r1) {
+                        *d = self.data[r * cols + c];
+                    }
+                }
             }
         }
     }

@@ -8,7 +8,6 @@
 use crate::metric::{Metric, METRIC_COUNT};
 use crate::monitor::{InvocationSample, MetricStore};
 use serde::{Deserialize, Serialize};
-use sizeless_stats::Summary;
 
 /// Mean / standard deviation / coefficient of variation of one metric over a
 /// measurement window.
@@ -32,29 +31,56 @@ pub struct MetricVector {
 impl MetricVector {
     /// Aggregates a set of samples.
     ///
+    /// Two row-wise passes over `samples`: per-metric sums, then per-metric
+    /// sums of squared deviations from the means. Per metric, each pass is
+    /// the sequential left fold from `-0.0` (the start value of
+    /// `Iterator::sum::<f64>`) over the same terms as
+    /// `sizeless_stats::descriptive::{mean, variance}` on that metric's
+    /// column, so every aggregate is bit-identical to theirs. No column is
+    /// copied or sorted and nothing is allocated.
+    ///
     /// # Panics
     ///
     /// Panics if `samples` is empty — a measurement window always contains
-    /// at least one invocation.
-    pub fn from_samples<'a>(samples: impl IntoIterator<Item = &'a InvocationSample>) -> Self {
-        let samples: Vec<&InvocationSample> = samples.into_iter().collect();
-        assert!(!samples.is_empty(), "cannot aggregate an empty window");
+    /// at least one invocation — or if any sample value is NaN.
+    pub fn from_samples<'a, I>(samples: I) -> Self
+    where
+        I: IntoIterator<Item = &'a InvocationSample>,
+        I::IntoIter: Clone,
+    {
+        let samples = samples.into_iter();
+        let mut sums = [-0.0; METRIC_COUNT];
+        let mut sample_count = 0usize;
+        // lint: allow(hot001) reason="clones the borrowing iterator, a cursor over the caller's samples; no sample is copied"
+        for sample in samples.clone() {
+            for ((sum, &x), metric) in sums.iter_mut().zip(&sample.values).zip(Metric::ALL) {
+                assert!(!x.is_nan(), "NaN sample value for metric {metric}");
+                *sum += x;
+            }
+            sample_count += 1;
+        }
+        assert!(sample_count > 0, "cannot aggregate an empty window");
+        let n = sample_count as f64;
+        let means = sums.map(|sum| sum / n);
+        let mut squares = [-0.0; METRIC_COUNT];
+        for sample in samples {
+            for ((square, &x), &mean) in squares.iter_mut().zip(&sample.values).zip(&means) {
+                *square += (x - mean) * (x - mean);
+            }
+        }
         let mut aggregates = [MetricAggregate::default(); METRIC_COUNT];
-        let mut buf = Vec::with_capacity(samples.len());
-        for metric in Metric::ALL {
-            buf.clear();
-            buf.extend(samples.iter().map(|s| s.value(metric)));
-            // lint: allow(panic002) reason="samples is asserted non-empty above, so every metric buffer is non-empty"
-            let summary = Summary::from_slice(&buf).expect("window is non-empty");
-            aggregates[metric.index()] = MetricAggregate {
-                mean: summary.mean(),
-                std_dev: summary.std_dev(),
-                cv: summary.coefficient_of_variation(),
+        for ((agg, &mean), &square) in aggregates.iter_mut().zip(&means).zip(&squares) {
+            let std_dev = (square / n).sqrt();
+            let cv = if mean == 0.0 {
+                0.0
+            } else {
+                std_dev / mean.abs()
             };
+            *agg = MetricAggregate { mean, std_dev, cv };
         }
         MetricVector {
             aggregates,
-            sample_count: samples.len(),
+            sample_count,
         }
     }
 
@@ -140,6 +166,13 @@ mod tests {
     #[should_panic(expected = "empty window")]
     fn empty_window_panics() {
         let _ = MetricVector::from_samples(std::iter::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN sample value for metric heap_used")]
+    fn nan_sample_panics_naming_the_metric() {
+        let samples = [sample(0.0, 5.0, 1.0), sample(1.0, 6.0, f64::NAN)];
+        let _ = MetricVector::from_samples(samples.iter());
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub fn run_experiment(
 
     for &at in &arrivals {
         let (instance, cold) = pool.begin(at);
-        let record = platform.invoke(&config, cold, &mut exec_rng);
+        let record = platform.invoke_unnamed(&config, cold, &mut exec_rng);
         if cold {
             cold_starts += 1;
         }

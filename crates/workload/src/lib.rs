@@ -26,5 +26,5 @@ pub mod trials;
 pub use arrival::{ArrivalKind, ArrivalProcess};
 pub use bursty::{BurstyArrival, BurstySampler};
 pub use harness::{run_experiment, ExperimentConfig, Measurement, MeasurementSummary};
-pub use parallel::measure_parallel;
+pub use parallel::{map_parallel, measure_parallel};
 pub use trials::{InterleavedTrials, TrialPlan};

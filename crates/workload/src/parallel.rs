@@ -22,28 +22,43 @@ pub fn measure_parallel(
     cfg: &ExperimentConfig,
     threads: usize,
 ) -> Vec<Measurement> {
+    map_parallel(threads, jobs.len(), |i| {
+        let (profile, memory) = jobs[i];
+        run_experiment(platform, profile, memory, cfg)
+    })
+}
+
+/// Runs `job(i)` for every `i` in `0..n` across `threads` workers and
+/// returns the results in index order.
+///
+/// Workers claim indices from a shared counter and each result goes to its
+/// own slot, so the output does not depend on the thread count as long as
+/// `job(i)` depends on `i` alone.
+///
+/// # Panics
+///
+/// Panics if `threads` is zero.
+pub fn map_parallel<T: Send>(threads: usize, n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     assert!(threads > 0, "at least one worker thread required");
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Measurement>>> =
-        (0..jobs.len()).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len().max(1)) {
+        for _ in 0..threads.min(n.max(1)) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
+                if i >= n {
                     break;
                 }
-                let (profile, memory) = jobs[i];
-                let m = run_experiment(platform, profile, memory, cfg);
-                *results[i].lock() = Some(m);
+                let out = job(i);
+                *results[i].lock() = Some(out);
             });
         }
     });
 
     results
         .into_iter()
-        // lint: allow(panic002) reason="the scope joins all workers first and every trial index is claimed exactly once"
+        // lint: allow(panic002) reason="the scope joins all workers first and every index is claimed exactly once"
         .map(|slot| slot.into_inner().expect("every job completed"))
         .collect()
 }
