@@ -11,9 +11,9 @@
 //! effect size.
 
 use serde::{Deserialize, Serialize};
-use sizeless_stats::cliffs::{cliffs_delta, DeltaMagnitude};
-use sizeless_stats::mannwhitney::same_distribution;
-use sizeless_telemetry::{Metric, MetricStore};
+use sizeless_stats::cliffs::{cliffs_delta_sorted, DeltaMagnitude};
+use sizeless_stats::mannwhitney::mann_whitney_u_sorted;
+use sizeless_telemetry::{InvocationSample, Metric, MetricStore};
 
 /// Configuration of the drift detector.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,33 +60,84 @@ impl DriftReport {
     }
 }
 
+/// One monitoring window as drift detection reads it: a column of values
+/// per watched metric, each sorted ascending by [`f64::total_cmp`].
+///
+/// The online sizing service keeps one per function as its drift
+/// reference, sorted once when the reference window closes, and refills a
+/// second one from each fresh window. Refills reuse the columns' storage.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DriftColumns {
+    columns: Vec<Vec<f64>>,
+}
+
+impl DriftColumns {
+    /// Refills the columns from `samples`: column `k` holds every sample's
+    /// value of `metrics[k]`, sorted.
+    pub(crate) fn refill<'a, I>(&mut self, samples: I, metrics: &[Metric])
+    where
+        I: IntoIterator<Item = &'a InvocationSample>,
+    {
+        self.columns.resize_with(metrics.len(), Default::default);
+        for column in &mut self.columns {
+            column.clear();
+        }
+        for sample in samples {
+            for (column, &metric) in self.columns.iter_mut().zip(metrics) {
+                column.push(sample.value(metric));
+            }
+        }
+        for column in &mut self.columns {
+            column.sort_unstable_by(f64::total_cmp);
+        }
+    }
+
+    /// The sorted column of the `k`-th watched metric (empty if never
+    /// filled).
+    fn column(&self, k: usize) -> &[f64] {
+        self.columns.get(k).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// Compares a fresh monitoring window against the reference window over the
 /// given metrics (typically the model's six required metrics plus execution
-/// time).
+/// time). Sorts each watched metric's column of both windows and compares
+/// them exactly as the online sizing service does.
 pub fn detect_drift(
     reference: &MetricStore,
     fresh: &MetricStore,
     metrics: &[Metric],
     cfg: &DriftConfig,
 ) -> DriftReport {
+    let mut old = DriftColumns::default();
+    old.refill(reference.samples(), metrics);
+    let mut new = DriftColumns::default();
+    new.refill(fresh.samples(), metrics);
+    detect_drift_sorted(&old, &new, metrics, cfg)
+}
+
+/// [`detect_drift`] on windows already in column form: column `k` of both
+/// holds `metrics[k]`. A metric is skipped when either column is empty.
+pub(crate) fn detect_drift_sorted(
+    reference: &DriftColumns,
+    fresh: &DriftColumns,
+    metrics: &[Metric],
+    cfg: &DriftConfig,
+) -> DriftReport {
     let mut drifted = Vec::new();
-    // Two series buffers reused across the watched metrics: the online
-    // sizing service runs this check once per tumbling window per function,
-    // so per-metric allocations would add up at fleet rates.
-    let mut old = Vec::new();
-    let mut new = Vec::new();
-    for &metric in metrics {
-        reference.series_into(metric, &mut old);
-        fresh.series_into(metric, &mut new);
+    for (k, &metric) in metrics.iter().enumerate() {
+        let (old, new) = (reference.column(k), fresh.column(k));
         if old.is_empty() || new.is_empty() {
             continue;
         }
-        let same = same_distribution(&old, &new, cfg.alpha).unwrap_or(true);
+        // A test that cannot run (constant samples) means no evidence of
+        // a shift.
+        let same = mann_whitney_u_sorted(old, new).map_or(true, |r| !r.rejects_at(cfg.alpha));
         if same {
             continue;
         }
         // Fresh window second → positive delta means values grew.
-        let delta = cliffs_delta(&new, &old).unwrap_or(0.0);
+        let delta = cliffs_delta_sorted(new, old).unwrap_or(0.0);
         let magnitude = DeltaMagnitude::classify(delta);
         if magnitude >= cfg.min_magnitude {
             drifted.push(MetricDrift {

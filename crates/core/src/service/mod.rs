@@ -4,8 +4,9 @@
 //! window, which memory size?". Production middleware needs the *loop*: a
 //! service that ingests per-invocation telemetry as it happens, keeps a
 //! bounded window per function, recommends when it has seen enough, and
-//! notices — via [`detect_drift`] — when the workload has shifted enough
-//! that the cached recommendation is stale.
+//! notices — via [`detect_drift`](crate::drift::detect_drift)'s sorted
+//! comparison — when the workload has shifted enough that the cached
+//! recommendation is stale.
 //!
 //! The loop is three separable layers:
 //!
@@ -68,16 +69,14 @@ pub use adaptation::{AdaptationKind, AdaptationPolicy, FineTune, FineTuneConfig,
 pub use control::{ControlPlane, PlaneStats};
 pub use remeasure::{FullRevert, RemeasureAction, RemeasureKind, RemeasurePolicy, ShadowSampling};
 
-use crate::drift::{detect_drift, watched_metrics, DriftConfig};
+use crate::drift::{detect_drift_sorted, watched_metrics, DriftColumns, DriftConfig};
 use crate::model::{OnlineObservation, PredictedTimes};
 use crate::optimizer::OptimizationOutcome;
 use crate::trainer::TrainedSizer;
 use control::PlaneHandle;
 use serde::{Deserialize, Serialize};
 use sizeless_platform::MemorySize;
-use sizeless_telemetry::{
-    InvocationSample, Metric, MetricStore, MetricVector, SampleBatch, StreamingWindow,
-};
+use sizeless_telemetry::{InvocationSample, Metric, MetricVector, SampleBatch, StreamingWindow};
 
 /// A memory-size recommendation for one monitored function.
 ///
@@ -241,7 +240,9 @@ struct FnState {
     /// reaches the decision boundary. Safe because every phase/size
     /// transition happens at a full window, when this buffer is empty.
     pending: SampleBatch,
-    reference: MetricStore,
+    /// The drift reference: the watched metrics' sorted columns of the
+    /// window the function entered `Watching` with.
+    reference: DriftColumns,
     recommendation: Option<Recommendation>,
     /// Aggregate of the last base-size window a recommendation consumed —
     /// the feature side of the adaptation policy's labeled observation.
@@ -262,7 +263,7 @@ impl FnState {
             phase: FnPhase::Measuring,
             window: StreamingWindow::new(window),
             pending: SampleBatch::new(),
-            reference: MetricStore::new(),
+            reference: DriftColumns::default(),
             recommendation: None,
             last_measurement: None,
             pre_drift: None,
@@ -300,8 +301,9 @@ pub struct SizingService {
     functions: Vec<Option<FnState>>,
     watched: Vec<Metric>,
     stats: ServiceStats,
-    /// Reusable store the tumbling drift window is copied into per check.
-    scratch: MetricStore,
+    /// The watched metrics' sorted columns of the window under a drift
+    /// check, refilled in place per check.
+    fresh: DriftColumns,
 }
 
 impl SizingService {
@@ -335,7 +337,7 @@ impl SizingService {
             functions: Vec::new(),
             watched: watched_metrics(),
             stats: ServiceStats::default(),
-            scratch: MetricStore::new(),
+            fresh: DriftColumns::default(),
         }
     }
 
@@ -531,7 +533,9 @@ impl SizingService {
                 } else if chosen == base {
                     // No resize: the measurement window doubles as the
                     // drift reference (same size, same length).
-                    state.window.write_store(&mut state.reference);
+                    state
+                        .reference
+                        .refill(state.window.samples(), &self.watched);
                     state.window.clear();
                     out.transition = Some(state.enter(FnPhase::Watching, &mut self.stats));
                 } else {
@@ -560,16 +564,22 @@ impl SizingService {
                         });
                     }
                 }
-                state.window.write_store(&mut state.reference);
+                state
+                    .reference
+                    .refill(state.window.samples(), &self.watched);
                 state.window.clear();
                 out.transition = Some(state.enter(FnPhase::Watching, &mut self.stats));
             }
             FnPhase::Watching => {
-                state.window.write_store(&mut self.scratch);
+                self.fresh.refill(state.window.samples(), &self.watched);
                 state.window.clear();
                 self.stats.drift_checks += 1;
-                let report =
-                    detect_drift(&state.reference, &self.scratch, &self.watched, &self.config.drift);
+                let report = detect_drift_sorted(
+                    &state.reference,
+                    &self.fresh,
+                    &self.watched,
+                    &self.config.drift,
+                );
                 if !report.should_reoptimize() {
                     return out;
                 }

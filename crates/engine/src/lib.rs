@@ -46,6 +46,6 @@ pub mod prelude {
 
 pub use dist::Distribution;
 pub use queue::{EventQueue, QueueKind};
-pub use rng::{fnv1a, RngStream};
+pub use rng::{box_muller, fnv1a, RngStream};
 pub use sim::{SimEvent, SimStats, Simulation};
 pub use time::{SimDuration, SimTime};

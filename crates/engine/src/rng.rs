@@ -69,6 +69,7 @@ impl RngStream {
     }
 
     /// Next uniform value in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         self.inner.random::<f64>()
     }
@@ -130,13 +131,27 @@ impl RngStream {
         &xs[self.index(xs.len())]
     }
 
-    /// Standard-normal draw via Box–Muller.
+    /// Standard-normal draw via Box–Muller: [`box_muller`] of the next two
+    /// uniforms.
+    #[inline]
     pub fn standard_normal(&mut self) -> f64 {
-        // Avoid ln(0) by shifting the first uniform into (0, 1].
-        let u1 = 1.0 - self.next_f64();
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        let first = self.next_f64();
+        let second = self.next_f64();
+        box_muller(first, second)
     }
+}
+
+/// The Box–Muller transform behind [`RngStream::standard_normal`]: one
+/// standard normal from two consecutive `[0, 1)` uniforms, passed in draw
+/// order. A caller that needs several normals can draw all their uniforms
+/// first and transform them afterwards, so the `ln`/`cos` work no longer
+/// waits on the generator, with every value bit-identical to calling
+/// `standard_normal` once per normal.
+#[inline]
+pub fn box_muller(first: f64, second: f64) -> f64 {
+    // Avoid ln(0) by shifting the first uniform into (0, 1].
+    let u1 = 1.0 - first;
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * second).cos()
 }
 
 // Implementing `TryRng<Error = Infallible>` grants the blanket `Rng` impl,

@@ -31,6 +31,10 @@ const MR2: usize = 8;
 /// Output columns processed per microkernel tile (two AVX2 lanes of f64,
 /// one AVX-512 lane; `n × NR` doubles of the B operand stay L1-resident).
 const NR: usize = 8;
+/// Output columns of the single-row tile of [`Matrix::matmul_into`]: with
+/// one row of `A` there is no row reuse, so 4·NR independent column chains
+/// are what hide the FMA latency.
+const NR1: usize = 4 * NR;
 /// Side of the square tiles [`Matrix::transpose_into`] copies through.
 const TB: usize = 16;
 
@@ -258,9 +262,10 @@ impl Matrix {
         let (m, n, p) = (self.rows, self.cols, other.cols);
         out.resize_for_overwrite(m, p);
         let b = &other.data;
-        // Register tiles of MR2 (then MR, then 1) rows × NR columns: many
-        // independent ascending-k accumulator chains hide the FMA latency
-        // without changing the summation order of any single element.
+        // Register tiles of MR2 (then MR) rows × NR columns, then 1 row ×
+        // NR1 columns: many independent ascending-k accumulator chains hide
+        // the FMA latency without changing the summation order of any
+        // single element.
         let mut i = 0;
         while i + MR2 <= m {
             let a_rows: [&[f64]; MR2] =
@@ -275,8 +280,11 @@ impl Matrix {
             i += MR;
         }
         while i < m {
-            let a_rows = [&self.data[i * n..(i + 1) * n]];
-            mm_block(&a_rows, b, &mut out.data, i, n, p);
+            mm_row(
+                &self.data[i * n..(i + 1) * n],
+                b,
+                &mut out.data[i * p..(i + 1) * p],
+            );
             i += 1;
         }
     }
@@ -590,6 +598,42 @@ fn mm_block<const R: usize>(
         for (r, &v) in acc.iter().enumerate() {
             out[(i + r) * p + j] = v;
         }
+    }
+}
+
+/// The `1 × NR1` microkernel of [`Matrix::matmul_into`]: computes one
+/// output row from one row of `A` and the flat data of `B` (`n × p`), each
+/// element one ascending-`k` fused-multiply-add chain like [`mm_block`]'s.
+/// The last tile of a row narrower than `NR1` keeps its accumulators in
+/// memory, which still runs its chains side by side.
+#[inline]
+fn mm_row(a_row: &[f64], b: &[f64], out_row: &mut [f64]) {
+    let p = out_row.len();
+    let mut jb = 0;
+    while jb + NR1 <= p {
+        let mut acc = [0.0f64; NR1];
+        for (k, &x) in a_row.iter().enumerate() {
+            let b_row: &[f64; NR1] = b[k * p + jb..k * p + jb + NR1]
+                .try_into()
+                // lint: allow(panic002) reason="the while condition guarantees jb + NR1 <= p, so the slice is exactly NR1 long"
+                .expect("NR1-sized chunk");
+            for (o, &bv) in acc.iter_mut().zip(b_row) {
+                *o = x.mul_add(bv, *o);
+            }
+        }
+        out_row[jb..jb + NR1].copy_from_slice(&acc);
+        jb += NR1;
+    }
+    let width = p - jb;
+    if width > 0 {
+        let mut acc = [0.0f64; NR1];
+        let acc = &mut acc[..width];
+        for (k, &x) in a_row.iter().enumerate() {
+            for (o, &bv) in acc.iter_mut().zip(&b[k * p + jb..k * p + p]) {
+                *o = x.mul_add(bv, *o);
+            }
+        }
+        out_row[jb..].copy_from_slice(acc);
     }
 }
 

@@ -7,7 +7,7 @@
 //! small, < 0.474 medium, otherwise large.
 
 use serde::{Deserialize, Serialize};
-use crate::error::{validate, StatsError};
+use crate::error::{sorted, validate_sorted, StatsError};
 
 /// Conventional magnitude classification of Cliff's delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -60,7 +60,8 @@ impl std::fmt::Display for DeltaMagnitude {
 }
 
 /// Computes Cliff's delta `δ = (#(a > b) − #(a < b)) / (n₁·n₂)` over all
-/// pairs, via a sort + merge scan in `O((n₁+n₂) log(n₁+n₂))`.
+/// pairs. Sorts copies of both samples and runs [`cliffs_delta_sorted`], in
+/// `O((n₁+n₂) log(n₁+n₂))`.
 ///
 /// Returns a value in `[-1, 1]`: positive when `a` tends to dominate `b`.
 ///
@@ -79,34 +80,47 @@ impl std::fmt::Display for DeltaMagnitude {
 /// assert_eq!(d, 1.0);
 /// ```
 pub fn cliffs_delta(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
-    validate(a)?;
-    validate(b)?;
-    let mut sb = b.to_vec();
-    sb.sort_by(|l, r| l.total_cmp(r));
-
-    let mut dominance: i64 = 0;
-    for &x in a {
-        // #(b < x) − #(b > x) computed via binary searches.
-        let less = partition_point(&sb, |v| v < x) as i64;
-        let less_or_eq = partition_point(&sb, |v| v <= x) as i64;
-        let greater = sb.len() as i64 - less_or_eq;
-        dominance += less - greater;
-    }
-    Ok(dominance as f64 / (a.len() as f64 * b.len() as f64))
+    cliffs_delta_sorted(&sorted(a), &sorted(b))
 }
 
-fn partition_point(sorted: &[f64], pred: impl Fn(f64) -> bool) -> usize {
-    let mut lo = 0;
-    let mut hi = sorted.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if pred(sorted[mid]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+/// [`cliffs_delta`] on samples already sorted ascending by
+/// [`f64::total_cmp`], in one merge walk: `O(n₁+n₂)`, no copies.
+///
+/// The dominance count is an integer, so the order in which `a` is visited
+/// cannot change it; walking `a` in ascending order only lets the counts
+/// of smaller and not-larger `b` values advance monotonically. Comparisons
+/// are IEEE (`-0.0` ties `+0.0`).
+///
+/// # Errors
+///
+/// As [`cliffs_delta`].
+///
+/// # Examples
+///
+/// ```
+/// use sizeless_stats::cliffs::{cliffs_delta, cliffs_delta_sorted};
+///
+/// let a = [1.0, 2.0, 5.0];
+/// let b = [2.0, 3.0];
+/// assert_eq!(cliffs_delta_sorted(&a, &b), cliffs_delta(&a, &b));
+/// ```
+pub fn cliffs_delta_sorted(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
+    validate_sorted(a)?;
+    validate_sorted(b)?;
+    // #(b < x) and #(b <= x) for the current x; both only grow as x does.
+    let (mut less, mut less_or_eq) = (0, 0);
+    let mut dominance: i64 = 0;
+    for &x in a {
+        while less < b.len() && b[less] < x {
+            less += 1;
         }
+        while less_or_eq < b.len() && b[less_or_eq] <= x {
+            less_or_eq += 1;
+        }
+        let greater = b.len() - less_or_eq;
+        dominance += less as i64 - greater as i64;
     }
-    lo
+    Ok(dominance as f64 / (a.len() as f64 * b.len() as f64))
 }
 
 #[cfg(test)]

@@ -51,6 +51,29 @@ pub(crate) fn validate(xs: &[f64]) -> Result<(), StatsError> {
     Ok(())
 }
 
+/// [`validate`] for a slice sorted ascending by [`f64::total_cmp`], which
+/// places negative NaNs first and positive NaNs last: only the ends need
+/// checking.
+pub(crate) fn validate_sorted(xs: &[f64]) -> Result<(), StatsError> {
+    debug_assert!(
+        xs.is_sorted_by(|l, r| l.total_cmp(r).is_le()),
+        "sample must be sorted by total_cmp"
+    );
+    match (xs.first(), xs.last()) {
+        (Some(first), Some(last)) if first.is_nan() || last.is_nan() => Err(StatsError::NanInput),
+        (Some(_), Some(_)) => Ok(()),
+        _ => Err(StatsError::EmptySample),
+    }
+}
+
+/// A copy of `xs` sorted ascending by [`f64::total_cmp`]: the input the
+/// `*_sorted` rank statistics take.
+pub(crate) fn sorted(xs: &[f64]) -> Vec<f64> {
+    let mut out = xs.to_vec();
+    out.sort_unstable_by(f64::total_cmp);
+    out
+}
+
 /// Validates a pair of equally-sized, non-empty, NaN-free slices.
 pub(crate) fn validate_pair(a: &[f64], b: &[f64]) -> Result<(), StatsError> {
     validate(a)?;

@@ -32,11 +32,11 @@ pub mod error;
 pub mod mannwhitney;
 pub mod regression;
 
-pub use cliffs::{cliffs_delta, DeltaMagnitude};
+pub use cliffs::{cliffs_delta, cliffs_delta_sorted, DeltaMagnitude};
 pub use correlation::{pearson, spearman};
 pub use descriptive::Summary;
 pub use error::StatsError;
-pub use mannwhitney::{mann_whitney_u, MannWhitneyResult};
+pub use mannwhitney::{mann_whitney_u, mann_whitney_u_sorted, MannWhitneyResult};
 pub use regression::RegressionReport;
 
 /// Standard normal cumulative distribution function.

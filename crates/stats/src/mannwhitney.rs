@@ -9,7 +9,7 @@
 //! thousands of invocations).
 
 use serde::{Deserialize, Serialize};
-use crate::error::{validate, StatsError};
+use crate::error::{sorted, validate_sorted, StatsError};
 use crate::normal_cdf;
 
 /// Result of a two-sided Mann–Whitney U test.
@@ -45,7 +45,8 @@ impl MannWhitneyResult {
 ///
 /// Uses mid-ranks for ties and the tie-corrected variance
 /// `σ² = (n₁·n₂/12)·((n+1) − Σ(tᵢ³−tᵢ)/(n(n−1)))`. The continuity correction
-/// of 0.5 is applied to the z-score.
+/// of 0.5 is applied to the z-score. Sorts copies of both samples and runs
+/// [`mann_whitney_u_sorted`].
 ///
 /// # Errors
 ///
@@ -66,38 +67,71 @@ impl MannWhitneyResult {
 /// assert!(r.rejects_at(0.05));
 /// ```
 pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> Result<MannWhitneyResult, StatsError> {
-    validate(a)?;
-    validate(b)?;
-    let n1 = a.len() as f64;
-    let n2 = b.len() as f64;
-    let n = n1 + n2;
+    mann_whitney_u_sorted(&sorted(a), &sorted(b))
+}
 
-    // Pool, tag, and rank with mid-ranks for ties.
-    let mut pooled: Vec<(f64, bool)> = a
-        .iter()
-        .map(|&x| (x, true))
-        .chain(b.iter().map(|&x| (x, false)))
-        .collect();
-    pooled.sort_by(|l, r| l.0.total_cmp(&r.0));
+/// [`mann_whitney_u`] on samples already sorted ascending by
+/// [`f64::total_cmp`], without copying or sorting them.
+///
+/// A merge walk over the two samples visits the pooled observations in
+/// ascending order. Each group of values equal under `==` (so `-0.0` and
+/// `+0.0` tie) gets one mid-rank, and the groups are tallied in ascending
+/// order, so every result is bit-identical to ranking the pooled sample.
+///
+/// # Errors
+///
+/// As [`mann_whitney_u`]. Only the ends of a sorted sample can hold a NaN,
+/// so only they are checked.
+///
+/// # Examples
+///
+/// ```
+/// use sizeless_stats::mannwhitney::{mann_whitney_u, mann_whitney_u_sorted};
+///
+/// let a = [1.0, 2.0, 2.0, 7.0];
+/// let b = [2.0, 3.0, 9.0];
+/// assert_eq!(mann_whitney_u_sorted(&a, &b), mann_whitney_u(&a, &b));
+/// ```
+pub fn mann_whitney_u_sorted(a: &[f64], b: &[f64]) -> Result<MannWhitneyResult, StatsError> {
+    validate_sorted(a)?;
+    validate_sorted(b)?;
+    let (len_a, len_b) = (a.len(), b.len());
+    let n1 = len_a as f64;
+    let n2 = len_b as f64;
+    let n = n1 + n2;
 
     let mut rank_sum_a = 0.0;
     let mut tie_term = 0.0;
-    let mut i = 0;
-    while i < pooled.len() {
-        let mut j = i;
-        while j + 1 < pooled.len() && pooled[j + 1].0 == pooled[i].0 {
+    // Pooled observations ranked so far, and the heads of both samples.
+    let (mut ranked, mut i, mut j) = (0, 0, 0);
+    loop {
+        // The next group opens at the smaller head in `total_cmp` order.
+        let value = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if y.total_cmp(&x).is_lt() => y,
+            (Some(&x), _) => x,
+            (None, Some(&y)) => y,
+            (None, None) => break,
+        };
+        let start_a = i;
+        while i < len_a && a[i] == value {
+            i += 1;
+        }
+        let start_b = j;
+        while j < len_b && b[j] == value {
             j += 1;
         }
-        // Observations i..=j are tied; they all receive the mid-rank.
-        let t = (j - i + 1) as f64;
-        let mid_rank = (i as f64 + 1.0 + j as f64 + 1.0) / 2.0;
-        for item in &pooled[i..=j] {
-            if item.1 {
-                rank_sum_a += mid_rank;
-            }
-        }
+        let in_a = i - start_a;
+        let tied = in_a + (j - start_b);
+        // Pooled positions first..=last are tied; they share the mid-rank.
+        let (first, last) = (ranked, ranked + tied - 1);
+        let mid_rank = (first as f64 + 1.0 + last as f64 + 1.0) / 2.0;
+        // Ranks are half-integers, so below 2^26 observations this product
+        // and the running sum are exact: the same bits as adding the
+        // mid-rank once per member of `a`.
+        rank_sum_a += mid_rank * in_a as f64;
+        let t = tied as f64;
         tie_term += t * t * t - t;
-        i = j + 1;
+        ranked += tied;
     }
 
     let u1 = rank_sum_a - n1 * (n1 + 1.0) / 2.0;

@@ -9,7 +9,7 @@
 
 use crate::metric::{Metric, METRIC_COUNT};
 use serde::{Deserialize, Serialize};
-use sizeless_engine::RngStream;
+use sizeless_engine::{box_muller, RngStream};
 use sizeless_platform::ResourceUsage;
 
 /// The monitored metric values of one invocation.
@@ -53,6 +53,13 @@ impl ResourceMonitor {
 
     /// Observes one execution: extracts all 25 metrics from the ground-truth
     /// usage and perturbs each with its collector's noise.
+    ///
+    /// A metric is noisy when both its σ and its true value are non-zero;
+    /// each noisy metric, in [`Metric::ALL`] order, takes one standard
+    /// normal from `rng`. All their uniforms are drawn before any is
+    /// transformed, so the generator and the `ln`/`cos` of
+    /// [`box_muller`] do not wait on each other; the values are
+    /// bit-identical to one [`RngStream::standard_normal`] per metric.
     pub fn observe(
         &self,
         at_ms: f64,
@@ -60,15 +67,24 @@ impl ResourceMonitor {
         rng: &mut RngStream,
     ) -> InvocationSample {
         let mut values = [0.0; METRIC_COUNT];
+        let mut noisy = [(0, 0.0); METRIC_COUNT];
+        let mut count = 0;
         for metric in Metric::ALL {
             let truth = metric.extract(usage);
             let sigma = metric.collector_noise_sigma();
-            let noisy = if sigma == 0.0 || truth == 0.0 {
-                truth
-            } else {
-                (truth * (1.0 + sigma * rng.standard_normal())).max(0.0)
-            };
-            values[metric.index()] = noisy;
+            values[metric.index()] = truth;
+            if sigma != 0.0 && truth != 0.0 {
+                noisy[count] = (metric.index(), sigma);
+                count += 1;
+            }
+        }
+        let noisy = &noisy[..count];
+        let mut uniforms = [[0.0; 2]; METRIC_COUNT];
+        for pair in &mut uniforms[..count] {
+            *pair = [rng.next_f64(), rng.next_f64()];
+        }
+        for (&(i, sigma), &[first, second]) in noisy.iter().zip(&uniforms) {
+            values[i] = (values[i] * (1.0 + sigma * box_muller(first, second))).max(0.0);
         }
         InvocationSample { at_ms, values }
     }
@@ -119,36 +135,12 @@ impl MetricStore {
 
     /// The values of one metric across all samples, in arrival order.
     pub fn series(&self, metric: Metric) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.series_into(metric, &mut out);
-        out
-    }
-
-    /// [`MetricStore::series`] into a caller-owned buffer (cleared first) —
-    /// the drift detector calls this once per watched metric per check, so
-    /// reusing one buffer across the loop avoids an allocation per metric.
-    pub fn series_into(&self, metric: Metric, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.samples.iter().map(|s| s.value(metric)));
+        self.samples.iter().map(|s| s.value(metric)).collect()
     }
 
     /// The values of one metric for samples arriving before `cutoff_ms`.
     pub fn series_until(&self, metric: Metric, cutoff_ms: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.series_until_into(metric, cutoff_ms, &mut out);
-        out
-    }
-
-    /// [`MetricStore::series_until`] into a caller-owned buffer (cleared
-    /// first).
-    pub fn series_until_into(&self, metric: Metric, cutoff_ms: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.samples
-                .iter()
-                .filter(|s| s.at_ms < cutoff_ms)
-                .map(|s| s.value(metric)),
-        );
+        self.window(cutoff_ms).map(|s| s.value(metric)).collect()
     }
 
     /// Samples arriving before `cutoff_ms`.
@@ -247,21 +239,6 @@ mod tests {
         assert_eq!(store.series(Metric::ExecutionTime).len(), 10);
         assert_eq!(store.series_until(Metric::ExecutionTime, 500.0).len(), 5);
         assert_eq!(store.window(250.0).count(), 3);
-    }
-
-    #[test]
-    fn series_into_reuses_and_matches_allocating_variants() {
-        let m = ResourceMonitor::new();
-        let mut rng = RngStream::from_seed(7, "mon7");
-        let store: MetricStore = (0..8)
-            .map(|i| m.observe(i as f64 * 100.0, &usage(), &mut rng))
-            .collect();
-        let mut buf = vec![f64::NAN; 3]; // stale content must be cleared
-        store.series_into(Metric::HeapUsed, &mut buf);
-        assert_eq!(buf, store.series(Metric::HeapUsed));
-        store.series_until_into(Metric::HeapUsed, 350.0, &mut buf);
-        assert_eq!(buf, store.series_until(Metric::HeapUsed, 350.0));
-        assert_eq!(buf.len(), 4);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Streaming, bounded monitoring windows for the online sizing service.
 //!
-//! The batch pipeline aggregates a whole [`MetricStore`] at once; an online
-//! right-sizer instead ingests one [`InvocationSample`] at a time and needs
-//! the aggregate of the *most recent* window. [`StreamingWindow`] is that
-//! primitive: an O(1)-per-push ring of the last `capacity` samples whose
-//! [`StreamingWindow::aggregate`] is **bit-identical** to
-//! [`MetricVector::from_samples`] over the retained samples.
+//! The batch pipeline aggregates a whole [`MetricStore`](crate::MetricStore)
+//! at once; an online right-sizer instead ingests one [`InvocationSample`]
+//! at a time and needs the aggregate of the *most recent* window.
+//! [`StreamingWindow`] is that primitive: an O(1)-per-push ring of the last
+//! `capacity` samples whose [`StreamingWindow::aggregate`] is
+//! **bit-identical** to [`MetricVector::from_samples`] over the retained
+//! samples.
 //!
 //! Bit-identity is a contract, not an accident: the batch aggregation
 //! computes each metric's mean as a sequential left-fold and its standard
@@ -19,7 +20,7 @@
 //! recommendation decision, not once per sample.
 
 use crate::aggregate::MetricVector;
-use crate::monitor::{InvocationSample, MetricStore};
+use crate::monitor::InvocationSample;
 use std::collections::VecDeque;
 
 /// A bounded window over the most recent invocation samples.
@@ -117,14 +118,6 @@ impl StreamingWindow {
     pub fn aggregate(&self) -> MetricVector {
         MetricVector::from_samples(self.samples.iter())
     }
-
-    /// Copies the retained samples into `store` (clearing it first) so
-    /// store-based consumers — e.g. drift detection — can read the window
-    /// without a fresh allocation per check.
-    pub fn write_store(&self, store: &mut MetricStore) {
-        store.clear();
-        store.extend(self.samples.iter().cloned());
-    }
 }
 
 #[cfg(test)]
@@ -168,20 +161,6 @@ mod tests {
             assert_eq!(streaming.std_dev(m).to_bits(), batch.std_dev(m).to_bits());
             assert_eq!(streaming.cv(m).to_bits(), batch.cv(m).to_bits());
         }
-    }
-
-    #[test]
-    fn write_store_preserves_order_and_reuses_storage() {
-        let mut w = StreamingWindow::new(2);
-        w.push(sample(0.0, 1.0));
-        w.push(sample(1.0, 2.0));
-        w.push(sample(2.0, 3.0));
-        let mut store = MetricStore::new();
-        store.record(sample(99.0, 99.0)); // stale content must vanish
-        w.write_store(&mut store);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.samples()[0].at_ms, 1.0);
-        assert_eq!(store.samples()[1].at_ms, 2.0);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! at any cutoff point mid-stream. These properties pin that contract.
 
 use proptest::prelude::*;
-use sizeless_telemetry::{
-    InvocationSample, Metric, MetricStore, MetricVector, StreamingWindow, METRIC_COUNT,
-};
+use sizeless_telemetry::{InvocationSample, Metric, MetricVector, StreamingWindow, METRIC_COUNT};
 
 /// Strategy: a random sample sequence with increasing arrival times.
 fn sequence_strategy() -> impl Strategy<Value = Vec<InvocationSample>> {
@@ -68,43 +66,6 @@ proptest! {
                     "cv bits diverged for {} at cutoff {}", metric, cutoff
                 );
             }
-        }
-    }
-
-    /// `write_store` exposes exactly the retained window, in order, so the
-    /// drift path sees the same samples the aggregate was computed from.
-    #[test]
-    fn write_store_matches_retained_window(
-        samples in sequence_strategy(),
-        capacity in 1usize..40,
-    ) {
-        let mut window = StreamingWindow::new(capacity);
-        let mut store = MetricStore::new();
-        for s in &samples {
-            window.push(s.clone());
-        }
-        window.write_store(&mut store);
-        let start = samples.len().saturating_sub(capacity);
-        prop_assert_eq!(store.samples(), &samples[start..]);
-        prop_assert_eq!(window.evicted(), start);
-        // And the store-side aggregate agrees with the window's.
-        prop_assert_eq!(MetricVector::from_store(&store), window.aggregate());
-    }
-
-    /// The reusable series buffers match the allocating variants for every
-    /// metric (the drift path depends on this).
-    #[test]
-    fn series_into_is_equivalent_to_series(
-        samples in sequence_strategy(),
-        cutoff_ms in 0.0f64..1500.0,
-    ) {
-        let store: MetricStore = samples.into_iter().collect();
-        let mut buf = Vec::new();
-        for metric in Metric::ALL {
-            store.series_into(metric, &mut buf);
-            prop_assert_eq!(&buf, &store.series(metric));
-            store.series_until_into(metric, cutoff_ms, &mut buf);
-            prop_assert_eq!(&buf, &store.series_until(metric, cutoff_ms));
         }
     }
 }

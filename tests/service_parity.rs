@@ -131,7 +131,7 @@ impl ReferenceService {
                 self.recommendations += 1;
                 state.recommendation = Some(rec);
                 if chosen == base {
-                    state.window.write_store(&mut state.reference);
+                    state.reference = state.window.samples().cloned().collect();
                     state.window.clear();
                     state.phase = FnPhase::Watching;
                     None
@@ -147,13 +147,13 @@ impl ReferenceService {
                 }
             }
             FnPhase::Referencing => {
-                state.window.write_store(&mut state.reference);
+                state.reference = state.window.samples().cloned().collect();
                 state.window.clear();
                 state.phase = FnPhase::Watching;
                 None
             }
             FnPhase::Watching => {
-                state.window.write_store(&mut self.scratch);
+                self.scratch = state.window.samples().cloned().collect();
                 state.window.clear();
                 self.drift_checks += 1;
                 let report =
