@@ -4,10 +4,14 @@
 //! of regenerating the full paper dataset.
 
 use criterion::{criterion_main, Criterion};
+use sizeless_core::drift::watched_metrics;
 use sizeless_core::features::FeatureSet;
 use sizeless_core::optimizer::{MemoryOptimizer, Tradeoff};
 use sizeless_engine::RngStream;
-use sizeless_platform::{MemorySize, Platform, PricingModel, ResourceProfile, Stage};
+use sizeless_platform::{
+    MemorySize, Platform, PricingModel, ResourceProfile, ResourceUsage, ServiceCall, ServiceKind,
+    Stage,
+};
 use sizeless_stats::{cliffs_delta, mann_whitney_u};
 use sizeless_telemetry::{InvocationSample, MetricVector, ResourceMonitor};
 use sizeless_workload::{run_experiment, ExperimentConfig};
@@ -90,14 +94,46 @@ fn bench_stat_tests(c: &mut Criterion) {
     });
 }
 
+/// The closed sizing loop's three function shapes: a service caller, a CPU
+/// stage, and file IO.
+fn closed_loop_profiles() -> [ResourceProfile; 3] {
+    [
+        ResourceProfile::builder("db-caller")
+            .stage(Stage::cpu("parse", 5.0))
+            .stage(Stage::service("db", ServiceCall::new(ServiceKind::DynamoDb, 2, 10.0)))
+            .build(),
+        ResourceProfile::builder("cpu")
+            .stage(Stage::cpu("work", 70.0))
+            .build(),
+        ResourceProfile::builder("file-io")
+            .stage(Stage::cpu("parse", 5.0))
+            .stage(Stage::file_io("io", 1152.0, 288.0))
+            .build(),
+    ]
+}
+
+/// One `observe` per call, cycling through the three shapes: the full
+/// monitor against the one a fleet builds for an F4 artifact (execution
+/// time plus F4's six base metrics).
 fn bench_monitor(c: &mut Criterion) {
     let platform = Platform::aws_like();
-    let monitor = ResourceMonitor::new();
     let mut rng = RngStream::from_seed(4, "bench-mon");
-    let out = platform.execute(&profile(), MemorySize::MB_512, &mut rng);
-    c.bench_function("pipeline/monitor/observe_25_metrics", |b| {
-        b.iter(|| monitor.observe(0.0, &out.usage, &mut rng))
-    });
+    let usages: Vec<ResourceUsage> = closed_loop_profiles()
+        .iter()
+        .map(|p| platform.execute(p, MemorySize::MB_256, &mut rng).usage)
+        .collect();
+    for (name, monitor) in [
+        ("telemetry/observe_all_metrics", ResourceMonitor::new()),
+        (
+            "telemetry/observe_f4_collected",
+            ResourceMonitor::collecting(&watched_metrics()),
+        ),
+    ] {
+        let mut next = usages.iter().cycle();
+        c.bench_function(name, |b| {
+            b.iter(|| monitor.observe(0.0, next.next().expect("cycle"), &mut rng))
+        });
+    }
 }
 
 // The macro-generated harness entry points carry no doc comments.

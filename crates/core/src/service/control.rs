@@ -16,6 +16,7 @@
 use super::adaptation::{AdaptationPolicy, Frozen};
 use super::remeasure::RemeasurePolicy;
 use super::{Recommendation, ServiceConfig, SizingService};
+use crate::features::FeatureSet;
 use crate::model::OnlineObservation;
 use crate::trainer::TrainedSizer;
 use serde::{Deserialize, Serialize};
@@ -65,6 +66,12 @@ impl PlaneHandle {
         let mut state = self.state.borrow_mut();
         state.stats.recommendations += 1;
         state.sizer.recommend(metrics)
+    }
+
+    /// The feature set of the artifact's model (fine-tuning retrains
+    /// weights, never the feature set).
+    pub(super) fn feature_set(&self) -> FeatureSet {
+        self.state.borrow().sizer.model().feature_set()
     }
 
     /// A clone of the artifact as it stands right now.

@@ -76,7 +76,7 @@ use crate::trainer::TrainedSizer;
 use control::PlaneHandle;
 use serde::{Deserialize, Serialize};
 use sizeless_platform::MemorySize;
-use sizeless_telemetry::{InvocationSample, Metric, MetricVector, SampleBatch, StreamingWindow};
+use sizeless_telemetry::{InvocationSample, Metric, MetricVector, StreamingWindow};
 
 /// A memory-size recommendation for one monitored function.
 ///
@@ -235,11 +235,6 @@ struct FnState {
     current: MemorySize,
     phase: FnPhase,
     window: StreamingWindow,
-    /// Accepted samples buffered ahead of the window; flushed (in push
-    /// order — bit-identical to direct pushes) when the combined fill
-    /// reaches the decision boundary. Safe because every phase/size
-    /// transition happens at a full window, when this buffer is empty.
-    pending: SampleBatch,
     /// The drift reference: the watched metrics' sorted columns of the
     /// window the function entered `Watching` with.
     reference: DriftColumns,
@@ -262,7 +257,6 @@ impl FnState {
             current: base,
             phase: FnPhase::Measuring,
             window: StreamingWindow::new(window),
-            pending: SampleBatch::new(),
             reference: DriftColumns::default(),
             recommendation: None,
             last_measurement: None,
@@ -370,6 +364,21 @@ impl SizingService {
     /// Activity tallies so far.
     pub fn stats(&self) -> &ServiceStats {
         &self.stats
+    }
+
+    /// Every metric a decision of this service can read, in
+    /// [`Metric::ALL`] order: the artifact model's required metrics, the
+    /// drift detector's watched metrics, and the execution time
+    /// (prediction scales by it and the adaptation feedback observes it).
+    /// A monitor feeding this service needs to collect nothing else.
+    pub fn monitored_metrics(&self) -> Vec<Metric> {
+        let required = self.plane.feature_set().required_metrics();
+        Metric::ALL
+            .into_iter()
+            .filter(|m| {
+                *m == Metric::ExecutionTime || required.contains(m) || self.watched.contains(m)
+            })
+            .collect()
     }
 
     /// The cached recommendation for a function, if one has been issued.
@@ -491,12 +500,11 @@ impl SizingService {
             self.stats.stale_samples_ignored += 1;
             return out;
         }
-        state.pending.push(sample);
+        state.window.push(sample);
         self.stats.samples_ingested += 1;
-        if state.window.len() + state.pending.len() < self.config.window {
+        if state.window.len() < self.config.window {
             return out;
         }
-        state.pending.flush_into(&mut state.window);
 
         match state.phase {
             FnPhase::Measuring | FnPhase::Shadowing => {

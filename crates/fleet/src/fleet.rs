@@ -39,8 +39,8 @@ use sizeless_obs::{
 };
 use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile};
 use sizeless_telemetry::{
-    CompletionTally, FleetCounters, FleetMetrics, InvocationSample, ResourceMonitor,
-    RightsizingCounters, RightsizingMetrics, SimRunStats, TallyBatch,
+    FleetCounters, FleetMetrics, InvocationSample, ResourceMonitor, RightsizingCounters,
+    RightsizingMetrics, SimRunStats,
 };
 use sizeless_workload::{ArrivalProcess, BurstyArrival, BurstySampler};
 
@@ -385,10 +385,6 @@ pub struct Fleet<S: TraceSink = NullSink> {
     keepalive: Box<dyn KeepAlivePolicy>,
     limits: ConcurrencyLimits,
     counters: FleetCounters,
-    /// Buffered completion tallies, flushed into `counters` in batches
-    /// (bit-identically to direct per-completion updates — see
-    /// [`TallyBatch`]). Flushed before every invariant check and report.
-    tallies: TallyBatch,
     max_latency_ms: f64,
     duration_ms: f64,
     default_ttl_ms: f64,
@@ -457,7 +453,6 @@ impl Fleet {
                 config.account_limit,
             ),
             counters: FleetCounters::default(),
-            tallies: TallyBatch::new(),
             max_latency_ms: 0.0,
             duration_ms: config.duration_ms,
             default_ttl_ms: platform.cold_start_model().idle_ttl_ms,
@@ -493,7 +488,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
             keepalive: self.keepalive,
             limits: self.limits,
             counters: self.counters,
-            tallies: self.tallies,
             max_latency_ms: self.max_latency_ms,
             duration_ms: self.duration_ms,
             default_ttl_ms: self.default_ttl_ms,
@@ -532,10 +526,14 @@ impl<S: TraceSink + 'static> Fleet<S> {
     /// generational pools. The wrapper monitor's overhead extends instance
     /// occupancy (the paper's observation: the wrapper does not perturb the
     /// measured execution time, it only occupies the worker longer).
+    ///
+    /// The monitor collects only [`SizingService::monitored_metrics`]:
+    /// the metrics the service's decisions read, with the same bits and
+    /// the same `monitor` stream position as a full monitor.
     pub fn with_sizing(mut self, service: SizingService) -> Self {
         self.sizing = Some(SizingLoop {
+            monitor: ResourceMonitor::collecting(&service.monitored_metrics()),
             service,
-            monitor: ResourceMonitor::new(),
             original: self.functions.iter().map(|f| f.config.memory()).collect(),
             counters: RightsizingCounters::default(),
         });
@@ -1063,18 +1061,12 @@ impl<S: TraceSink + 'static> Fleet<S> {
         self.hosts[done.host].complete(done.pool, done.placement, now_ms, ttl, done.occupancy_ms);
         self.limits.release(done.fn_id);
         let exec_mb_ms = done.exec_ms * f64::from(done.memory.mb());
-        // Buffer the counter deltas instead of scattering six
-        // read-modify-writes into the counters per completion; the flush
-        // replays them in order, so the sums are bit-identical.
-        let full = self.tallies.push(CompletionTally {
-            attempt: done.attempt,
-            latency_ms: done.latency_ms,
-            cost_usd: done.cost_usd,
-            exec_mb_ms,
-        });
-        if full {
-            self.tallies.flush_into(&mut self.counters);
-        }
+        self.counters.exec_mb_ms += exec_mb_ms;
+        self.counters.in_flight -= 1;
+        self.counters.completed += 1;
+        self.counters.sum_attempts_completed += done.attempt;
+        self.counters.sum_latency_ms += done.latency_ms;
+        self.counters.sum_cost_usd += done.cost_usd;
         self.max_latency_ms = self.max_latency_ms.max(done.latency_ms);
 
         // While a crash or outage mask is active, drift detections are
@@ -1229,9 +1221,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
     ///
     /// Panics on any violation.
     pub fn assert_invariants(&mut self, now_ms: f64) {
-        // The ledgers are only exact at batch boundaries — settle pending
-        // completion tallies before reading the counters.
-        self.tallies.flush_into(&mut self.counters);
         assert!(
             self.counters.is_conserved(),
             "conservation violated: {:?}",
@@ -1342,8 +1331,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
     /// caller for export.
     pub fn into_report_and_sink(mut self, sim: &FleetSim<S>) -> (FleetReport, S) {
         let horizon_ms = sim.now().as_millis().max(self.duration_ms);
-        self.tallies.flush_into(&mut self.counters);
-
         for host in &mut self.hosts {
             host.finalize(horizon_ms);
         }

@@ -198,7 +198,9 @@ impl<'a> Walker<'a> {
                         self.pending = Some(Pending::Mod(name.to_string()));
                     }
                 }
-                "impl" => {
+                // An `impl Trait` in a signature, in argument or return
+                // position, belongs to the pending fn: not an impl block.
+                "impl" if !matches!(self.pending, Some(Pending::Fn(_))) => {
                     if let Some(ty) = self.impl_type_name(i + 1) {
                         self.pending = Some(Pending::ImplBlock(ty));
                     }

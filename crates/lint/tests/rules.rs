@@ -223,6 +223,38 @@ fn hot001_vec_macro_in_hot_module() {
 }
 
 #[test]
+fn hot001_hot_function_taking_impl_trait() {
+    // The `impl` of an argument type must not open an impl block that
+    // hides the function body.
+    expect_rule(
+        "crates/neural/src/matrix.rs",
+        r#"
+impl Matrix {
+    pub fn matmul_into(&mut self, rows: impl IntoIterator<Item = f64>) {
+        let v = Vec::new();
+    }
+}
+"#,
+        "hot001",
+    );
+}
+
+#[test]
+fn hot001_hot_function_returning_impl_trait() {
+    expect_rule(
+        "crates/neural/src/matrix.rs",
+        r#"
+impl Matrix {
+    pub fn matmul_into(&self) -> impl Iterator<Item = f64> + '_ {
+        self.data.clone().into_iter()
+    }
+}
+"#,
+        "hot001",
+    );
+}
+
+#[test]
 fn hot001_clone_outside_hot_paths_is_fine() {
     expect_clean(
         "crates/neural/src/matrix.rs",

@@ -13,7 +13,9 @@
 //!   [`ResourceUsage`](sizeless_platform::ResourceUsage) into a noisy
 //!   [`InvocationSample`], modelling collector
 //!   imprecision, and appends it to a [`MetricStore`]
-//!   (the simulated DynamoDB results table).
+//!   (the simulated DynamoDB results table). A monitor built by
+//!   [`ResourceMonitor::collecting`] pays only for the metrics its
+//!   consumer reads, with the full monitor's bits on each of them.
 //! * [`aggregate`] — per-window aggregation into the
 //!   [`MetricVector`] (mean/std/cv per metric) the
 //!   regression model consumes.
@@ -26,12 +28,8 @@
 //! * [`window`] — [`StreamingWindow`]: the bounded,
 //!   incrementally-maintained monitoring window of the online sizing
 //!   service, bit-identical in aggregation to the batch [`MetricVector`].
-//! * [`batch`] — buffered ingest ([`TallyBatch`]/[`SampleBatch`]): hot
-//!   paths buffer per-invocation counter and window pushes and flush them
-//!   in batches, bit-identically to the unbatched path.
 
 pub mod aggregate;
-pub mod batch;
 pub mod fleet;
 pub mod metric;
 pub mod monitor;
@@ -39,7 +37,6 @@ pub mod stability;
 pub mod window;
 
 pub use aggregate::{MetricAggregate, MetricVector};
-pub use batch::{CompletionTally, SampleBatch, TallyBatch};
 pub use fleet::{
     FleetCounters, FleetMetrics, RightsizingCounters, RightsizingMetrics, SimRunStats,
 };

@@ -39,27 +39,54 @@ impl InvocationSample {
 /// paper notes this overhead does **not** affect the measured inner
 /// execution time, and neither does it here — it only lengthens the total
 /// occupancy of the worker instance.
+///
+/// A monitor collects either all 25 metrics ([`ResourceMonitor::new`]) or
+/// only the ones its consumer reads ([`ResourceMonitor::collecting`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceMonitor {
     /// Wrapper overhead added around the inner execution, ms.
     pub overhead_ms: f64,
+    /// Bit `i` is set when the metric with index `i` is collected.
+    collected: u32,
 }
 
 impl ResourceMonitor {
-    /// A monitor with the default ~1.8 ms polling + DynamoDB-write overhead.
+    /// A monitor of all 25 metrics with the default ~1.8 ms polling +
+    /// DynamoDB-write overhead.
     pub fn new() -> Self {
-        ResourceMonitor { overhead_ms: 1.8 }
+        ResourceMonitor {
+            overhead_ms: 1.8,
+            collected: (1 << METRIC_COUNT) - 1,
+        }
     }
 
-    /// Observes one execution: extracts all 25 metrics from the ground-truth
-    /// usage and perturbs each with its collector's noise.
+    /// A monitor that collects only `metrics`, at the same overhead as
+    /// [`ResourceMonitor::new`]. Its samples agree bit for bit with the
+    /// full monitor's on every collected metric, read 0.0 on the others,
+    /// and leave the generator at the same position.
+    pub fn collecting(metrics: &[Metric]) -> Self {
+        let collected = metrics.iter().fold(0, |mask, m| mask | 1 << m.index());
+        ResourceMonitor {
+            collected,
+            ..Self::new()
+        }
+    }
+
+    fn collects(&self, metric: Metric) -> bool {
+        self.collected & 1 << metric.index() != 0
+    }
+
+    /// Observes one execution: extracts the collected metrics from the
+    /// ground-truth usage and perturbs each with its collector's noise.
     ///
     /// A metric is noisy when both its σ and its true value are non-zero;
-    /// each noisy metric, in [`Metric::ALL`] order, takes one standard
-    /// normal from `rng`. All their uniforms are drawn before any is
+    /// each noisy metric, in [`Metric::ALL`] order, takes two uniforms
+    /// from `rng`, collected or not, so the stream stays where the full
+    /// monitor leaves it. All uniforms are drawn before any is
     /// transformed, so the generator and the `ln`/`cos` of
-    /// [`box_muller`] do not wait on each other; the values are
-    /// bit-identical to one [`RngStream::standard_normal`] per metric.
+    /// [`box_muller`] do not wait on each other; a collected metric's
+    /// value is bit-identical to one [`RngStream::standard_normal`] per
+    /// noisy metric. Uncollected metrics skip the transform and read 0.0.
     pub fn observe(
         &self,
         at_ms: f64,
@@ -67,23 +94,31 @@ impl ResourceMonitor {
         rng: &mut RngStream,
     ) -> InvocationSample {
         let mut values = [0.0; METRIC_COUNT];
-        let mut noisy = [(0, 0.0); METRIC_COUNT];
-        let mut count = 0;
+        // (metric index, σ, which uniform pair) of each collected noisy
+        // metric.
+        let mut noisy = [(0, 0.0, 0); METRIC_COUNT];
+        let (mut count, mut draws) = (0, 0);
         for metric in Metric::ALL {
             let truth = metric.extract(usage);
             let sigma = metric.collector_noise_sigma();
-            values[metric.index()] = truth;
+            let collected = self.collects(metric);
+            if collected {
+                values[metric.index()] = truth;
+            }
             if sigma != 0.0 && truth != 0.0 {
-                noisy[count] = (metric.index(), sigma);
-                count += 1;
+                if collected {
+                    noisy[count] = (metric.index(), sigma, draws);
+                    count += 1;
+                }
+                draws += 1;
             }
         }
-        let noisy = &noisy[..count];
         let mut uniforms = [[0.0; 2]; METRIC_COUNT];
-        for pair in &mut uniforms[..count] {
+        for pair in &mut uniforms[..draws] {
             *pair = [rng.next_f64(), rng.next_f64()];
         }
-        for (&(i, sigma), &[first, second]) in noisy.iter().zip(&uniforms) {
+        for &(i, sigma, k) in &noisy[..count] {
+            let [first, second] = uniforms[k];
             values[i] = (values[i] * (1.0 + sigma * box_muller(first, second))).max(0.0);
         }
         InvocationSample { at_ms, values }
