@@ -594,6 +594,13 @@ mod tests {
             }
             ArgsError::Help => panic!("not a help request"),
         }
+        match parse(&["--faults", "crash:host=0,at=5000,down=2000,dwon=9"]).unwrap_err() {
+            ArgsError::Invalid(msg) => {
+                assert!(msg.contains("`--faults`"), "{msg}");
+                assert!(msg.contains("unknown key `dwon`"), "{msg}");
+            }
+            ArgsError::Help => panic!("not a help request"),
+        }
         assert!(matches!(parse(&["--faults"]), Err(ArgsError::Invalid(_))));
         assert!(matches!(parse(&["--fault-seed", "x"]), Err(ArgsError::Invalid(_))));
         assert!(matches!(parse(&["--fault-seed"]), Err(ArgsError::Invalid(_))));

@@ -12,11 +12,9 @@
 //!   choice draws from named [`RngStream`]s derived from the plan's own
 //!   seed, so installing a plan never perturbs the arrival, execution,
 //!   scheduler, or monitor streams of the underlying run.
-//! * [`RetryPolicy`] — how the fleet reacts to a failed attempt: give up
-//!   ([`NoRetry`]), retry on a fixed delay ([`FixedRetry`]), or back off
-//!   exponentially with deterministic jitter and per-function retry
-//!   budgets ([`ExponentialBackoff`]). [`RetryKind`] is the serializable
-//!   selector, mirroring `SchedulerKind`/`KeepAliveKind`.
+//! * [`RetryKind`] — how the fleet reacts to a failed attempt: give up,
+//!   retry on a fixed delay, or back off exponentially with deterministic
+//!   jitter and per-function retry budgets.
 //!
 //! Semantics of a host crash: every warm generation on the host is lost,
 //! in-flight invocations fail (observed by the client at their originally
@@ -364,7 +362,8 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending clause or
-    /// key when the spec is malformed or a value is out of range.
+    /// key when the spec is malformed, a clause repeats a key or names one
+    /// it does not take, or a value is out of range.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::none();
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
@@ -375,6 +374,7 @@ impl FaultPlan {
             let fields = parse_fields(clause, body)?;
             match kind {
                 "crash" => {
+                    check_keys(&fields, clause, kind, &["host", "at", "down"])?;
                     let host = get_usize(&fields, clause, "host")?;
                     let at = get_f64(&fields, clause, "at")?;
                     let down = get_f64(&fields, clause, "down")?;
@@ -387,6 +387,7 @@ impl FaultPlan {
                     });
                 }
                 "crashes" => {
+                    check_keys(&fields, clause, kind, &["mtbf", "down"])?;
                     let mtbf = get_f64(&fields, clause, "mtbf")?;
                     let down = get_f64(&fields, clause, "down")?;
                     require(mtbf > 0.0, clause, "`mtbf` must be > 0")?;
@@ -397,6 +398,7 @@ impl FaultPlan {
                     });
                 }
                 "transient" => {
+                    check_keys(&fields, clause, kind, &["init", "exec", "frac"])?;
                     let init = get_f64(&fields, clause, "init")?;
                     let exec = get_f64(&fields, clause, "exec")?;
                     let frac = get_f64(&fields, clause, "frac")?;
@@ -414,6 +416,7 @@ impl FaultPlan {
                     });
                 }
                 "recovery" => {
+                    check_keys(&fields, clause, kind, &["ms", "slowdown"])?;
                     let ms = get_f64(&fields, clause, "ms")?;
                     let slowdown = get_f64(&fields, clause, "slowdown")?;
                     require(ms >= 0.0, clause, "`ms` must be >= 0")?;
@@ -424,6 +427,7 @@ impl FaultPlan {
                     });
                 }
                 "outage" => {
+                    check_keys(&fields, clause, kind, &["region", "at", "down"])?;
                     let region = get_usize(&fields, clause, "region")?;
                     let at = get_f64(&fields, clause, "at")?;
                     let down = get_f64(&fields, clause, "down")?;
@@ -474,6 +478,29 @@ fn parse_fields<'a>(clause: &str, body: &'a str) -> Result<Vec<(&'a str, &'a str
     Ok(fields)
 }
 
+/// Rejects a key the clause `kind` does not take, and a repeated key.
+fn check_keys(
+    fields: &[(&str, &str)],
+    clause: &str,
+    kind: &str,
+    takes: &[&str],
+) -> Result<(), String> {
+    for (i, (key, _)) in fields.iter().enumerate() {
+        let problem = if !takes.contains(key) {
+            "unknown"
+        } else if fields[..i].iter().any(|(k, _)| k == key) {
+            "repeated"
+        } else {
+            continue;
+        };
+        return Err(format!(
+            "in fault clause `{clause}`: {problem} key `{key}` (`{kind}` takes {})",
+            takes.join(", ")
+        ));
+    }
+    Ok(())
+}
+
 fn get_raw<'a>(fields: &[(&'a str, &'a str)], clause: &str, key: &str) -> Result<&'a str, String> {
     fields
         .iter()
@@ -500,181 +527,57 @@ fn get_usize(fields: &[(&str, &str)], clause: &str, key: &str) -> Result<usize, 
         .map_err(|_| format!("in fault clause `{clause}`: `{key}={raw}` is not an integer"))
 }
 
-/// How the fleet reacts to a failed attempt.
+/// How the fleet reacts to a failed attempt: give up, retry on a fixed
+/// delay, or back off exponentially with deterministic jitter and
+/// optional per-function retry budgets.
 ///
-/// `backoff_ms` is consulted with the number of the attempt *about to be
-/// made* (the first retry is attempt 2): `Some(delay)` schedules that
-/// attempt after `delay` ms of backoff, `None` gives the request up as
-/// failed. Policies are stateful (budgets); all randomness (jitter) comes
-/// from the supplied stream, so retries are bit-reproducible.
+/// [`RetryKind::backoff_ms`] is consulted with the number of the attempt
+/// *about to be made* (the first retry is attempt 2): `Some(delay)`
+/// schedules that attempt after `delay` ms of backoff, `None` gives the
+/// request up as failed. The only state is the caller's per-function
+/// budget ledger; all randomness (jitter) comes from the supplied stream,
+/// so retries are bit-reproducible.
 ///
 /// # Examples
 ///
 /// ```
 /// use sizeless_engine::RngStream;
-/// use sizeless_fleet::faults::{RetryKind, RetryPolicy};
+/// use sizeless_fleet::faults::RetryKind;
 ///
-/// let mut policy = RetryKind::ExponentialBackoff {
+/// let policy = RetryKind::ExponentialBackoff {
 ///     base_ms: 100.0,
 ///     factor: 2.0,
 ///     cap_ms: 5_000.0,
 ///     max_attempts: 3,
 ///     jitter_frac: 0.0,
 ///     budget_per_fn: None,
-/// }
-/// .build();
+/// };
+/// let mut spent = Vec::new();
 /// let mut rng = RngStream::from_seed(0, "retry");
 ///
 /// // Attempt 2 backs off `base`, attempt 3 backs off `base * factor`,
 /// // and the attempt cap forbids a fourth attempt.
-/// assert_eq!(policy.backoff_ms(0, 2, &mut rng), Some(100.0));
-/// assert_eq!(policy.backoff_ms(0, 3, &mut rng), Some(200.0));
-/// assert_eq!(policy.backoff_ms(0, 4, &mut rng), None);
+/// assert_eq!(policy.backoff_ms(&mut spent, 0, 2, &mut rng), Some(100.0));
+/// assert_eq!(policy.backoff_ms(&mut spent, 0, 3, &mut rng), Some(200.0));
+/// assert_eq!(policy.backoff_ms(&mut spent, 0, 4, &mut rng), None);
 /// ```
-pub trait RetryPolicy: std::fmt::Debug {
-    /// Backoff before `attempt` of `fn_id`, or `None` to give up.
-    fn backoff_ms(&mut self, fn_id: usize, attempt: usize, rng: &mut RngStream) -> Option<f64>;
-
-    /// Stable policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Never retry: every failed attempt fails the request.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoRetry;
-
-impl RetryPolicy for NoRetry {
-    fn backoff_ms(&mut self, _fn_id: usize, _attempt: usize, _rng: &mut RngStream) -> Option<f64> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        "none"
-    }
-}
-
-/// Retry on a fixed delay, up to `max_attempts` total attempts.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedRetry {
-    /// Total attempts allowed per request (first attempt included).
-    pub max_attempts: usize,
-    /// Fixed backoff before each retry, ms.
-    pub delay_ms: f64,
-}
-
-impl RetryPolicy for FixedRetry {
-    fn backoff_ms(&mut self, _fn_id: usize, attempt: usize, _rng: &mut RngStream) -> Option<f64> {
-        (attempt <= self.max_attempts).then_some(self.delay_ms)
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-}
-
-/// Exponential backoff with deterministic jitter and optional per-function
-/// retry budgets.
-///
-/// The backoff before attempt `n` is `min(cap_ms, base_ms * factor^(n-2))`
-/// scaled by a jitter factor drawn uniformly from
-/// `[1 - jitter_frac, 1 + jitter_frac]` on the fleet's retry stream. A
-/// per-function budget, when set, caps the *total* retries each function
-/// may consume across the whole run — once spent, further failures are
-/// final even below the attempt cap.
-#[derive(Debug, Clone)]
-pub struct ExponentialBackoff {
-    /// Backoff before the first retry, ms.
-    pub base_ms: f64,
-    /// Multiplier applied per subsequent retry.
-    pub factor: f64,
-    /// Upper bound on any single backoff, ms.
-    pub cap_ms: f64,
-    /// Total attempts allowed per request (first attempt included).
-    pub max_attempts: usize,
-    /// Jitter half-width as a fraction of the backoff, in `[0, 1]`.
-    pub jitter_frac: f64,
-    /// Optional cap on total retries per function across the run.
-    pub budget_per_fn: Option<usize>,
-    spent: Vec<usize>,
-}
-
-impl ExponentialBackoff {
-    /// Creates a policy; see the field docs for parameter meanings.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `base_ms > 0`, `factor >= 1`, `cap_ms >= base_ms`,
-    /// `max_attempts >= 1`, and `jitter_frac` is in `[0, 1]`.
-    pub fn new(
-        base_ms: f64,
-        factor: f64,
-        cap_ms: f64,
-        max_attempts: usize,
-        jitter_frac: f64,
-        budget_per_fn: Option<usize>,
-    ) -> Self {
-        assert!(base_ms > 0.0 && base_ms.is_finite(), "base must be positive");
-        assert!(factor >= 1.0 && factor.is_finite(), "factor must be >= 1");
-        assert!(cap_ms >= base_ms && cap_ms.is_finite(), "cap must be >= base");
-        assert!(max_attempts >= 1, "at least one attempt is required");
-        assert!(
-            (0.0..=1.0).contains(&jitter_frac),
-            "jitter fraction must be in [0, 1]"
-        );
-        ExponentialBackoff {
-            base_ms,
-            factor,
-            cap_ms,
-            max_attempts,
-            jitter_frac,
-            budget_per_fn,
-            spent: Vec::new(),
-        }
-    }
-}
-
-impl RetryPolicy for ExponentialBackoff {
-    fn backoff_ms(&mut self, fn_id: usize, attempt: usize, rng: &mut RngStream) -> Option<f64> {
-        if attempt > self.max_attempts {
-            return None;
-        }
-        if let Some(budget) = self.budget_per_fn {
-            if self.spent.len() <= fn_id {
-                self.spent.resize(fn_id + 1, 0);
-            }
-            if self.spent[fn_id] >= budget {
-                return None;
-            }
-            self.spent[fn_id] += 1;
-        }
-        let exponent = attempt.saturating_sub(2) as i32;
-        let raw = (self.base_ms * self.factor.powi(exponent)).min(self.cap_ms);
-        let jitter = if self.jitter_frac > 0.0 {
-            1.0 + self.jitter_frac * (2.0 * rng.next_f64() - 1.0)
-        } else {
-            1.0
-        };
-        Some(raw * jitter)
-    }
-
-    fn name(&self) -> &'static str {
-        "exponential"
-    }
-}
-
-/// Serializable selector for retry policies, mirroring `SchedulerKind`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RetryKind {
-    /// [`NoRetry`].
+    /// Never retry: every failed attempt fails the request.
     None,
-    /// [`FixedRetry`].
+    /// Retry on a fixed delay, up to `max_attempts` total attempts.
     Fixed {
-        /// Total attempts allowed per request.
+        /// Total attempts allowed per request (first attempt included).
         max_attempts: usize,
         /// Fixed backoff, ms.
         delay_ms: f64,
     },
-    /// [`ExponentialBackoff`].
+    /// Exponential backoff. The backoff before attempt `n` is
+    /// `min(cap_ms, base_ms * factor^(n-2))` scaled by a jitter factor
+    /// drawn uniformly from `[1 - jitter_frac, 1 + jitter_frac]` on the
+    /// fleet's retry stream. A per-function budget, when set, caps the
+    /// *total* retries each function may consume across the whole run —
+    /// once spent, further failures are final even below the attempt cap.
     ExponentialBackoff {
         /// Backoff before the first retry, ms.
         base_ms: f64,
@@ -682,7 +585,7 @@ pub enum RetryKind {
         factor: f64,
         /// Upper bound on any single backoff, ms.
         cap_ms: f64,
-        /// Total attempts allowed per request.
+        /// Total attempts allowed per request (first attempt included).
         max_attempts: usize,
         /// Jitter half-width fraction, in `[0, 1]`.
         jitter_frac: f64,
@@ -692,17 +595,50 @@ pub enum RetryKind {
 }
 
 impl RetryKind {
-    /// Builds the boxed policy this selector names.
-    pub fn build(self) -> Box<dyn RetryPolicy> {
+    /// Checks the policy's parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless an exponential backoff has `base_ms > 0`,
+    /// `factor >= 1`, `cap_ms >= base_ms`, `max_attempts >= 1`, and
+    /// `jitter_frac` in `[0, 1]`.
+    pub(crate) fn assert_valid(self) {
+        if let RetryKind::ExponentialBackoff {
+            base_ms,
+            factor,
+            cap_ms,
+            max_attempts,
+            jitter_frac,
+            ..
+        } = self
+        {
+            assert!(base_ms > 0.0 && base_ms.is_finite(), "base must be positive");
+            assert!(factor >= 1.0 && factor.is_finite(), "factor must be >= 1");
+            assert!(cap_ms >= base_ms && cap_ms.is_finite(), "cap must be >= base");
+            assert!(max_attempts >= 1, "at least one attempt is required");
+            assert!(
+                (0.0..=1.0).contains(&jitter_frac),
+                "jitter fraction must be in [0, 1]"
+            );
+        }
+    }
+
+    /// Backoff before `attempt` of `fn_id`, or `None` to give up. `spent`
+    /// is the run's ledger of retries per function, which a
+    /// `budget_per_fn` draws down.
+    pub fn backoff_ms(
+        self,
+        spent: &mut Vec<usize>,
+        fn_id: usize,
+        attempt: usize,
+        rng: &mut RngStream,
+    ) -> Option<f64> {
         match self {
-            RetryKind::None => Box::new(NoRetry),
+            RetryKind::None => None,
             RetryKind::Fixed {
                 max_attempts,
                 delay_ms,
-            } => Box::new(FixedRetry {
-                max_attempts,
-                delay_ms,
-            }),
+            } => (attempt <= max_attempts).then_some(delay_ms),
             RetryKind::ExponentialBackoff {
                 base_ms,
                 factor,
@@ -710,14 +646,28 @@ impl RetryKind {
                 max_attempts,
                 jitter_frac,
                 budget_per_fn,
-            } => Box::new(ExponentialBackoff::new(
-                base_ms,
-                factor,
-                cap_ms,
-                max_attempts,
-                jitter_frac,
-                budget_per_fn,
-            )),
+            } => {
+                if attempt > max_attempts {
+                    return None;
+                }
+                if let Some(budget) = budget_per_fn {
+                    if spent.len() <= fn_id {
+                        spent.resize(fn_id + 1, 0);
+                    }
+                    if spent[fn_id] >= budget {
+                        return None;
+                    }
+                    spent[fn_id] += 1;
+                }
+                let exponent = attempt.saturating_sub(2) as i32;
+                let raw = (base_ms * factor.powi(exponent)).min(cap_ms);
+                let jitter = if jitter_frac > 0.0 {
+                    1.0 + jitter_frac * (2.0 * rng.next_f64() - 1.0)
+                } else {
+                    1.0
+                };
+                Some(raw * jitter)
+            }
         }
     }
 }
@@ -789,6 +739,18 @@ mod tests {
             ("crash:host,at=100,down=10", "expected `key=value`"),
             ("outage:region=0,at=-5,down=10", "`at` must be >= 0"),
             ("nofailover:x=1", "takes no fields"),
+            (
+                "transient:init=0.05,exec=0.1,frac=0.5,exce=0.9",
+                "unknown key `exce` (`transient` takes init, exec, frac)",
+            ),
+            (
+                "crash:host=0,host=3,at=5000,down=2000",
+                "repeated key `host` (`crash` takes host, at, down)",
+            ),
+            (
+                "crash:host=0,at=5000,down=2000,dwon=9",
+                "unknown key `dwon` (`crash` takes host, at, down)",
+            ),
         ] {
             let err = FaultPlan::parse(spec).unwrap_err();
             assert!(
@@ -852,34 +814,62 @@ mod tests {
         assert!(!plan.outage_active(0, 1_200.0));
     }
 
+    /// The exponential policy the backoff tests share, with the varying
+    /// parameters exposed.
+    fn exponential(
+        base_ms: f64,
+        cap_ms: f64,
+        max_attempts: usize,
+        jitter_frac: f64,
+        budget_per_fn: Option<usize>,
+    ) -> RetryKind {
+        RetryKind::ExponentialBackoff {
+            base_ms,
+            factor: 2.0,
+            cap_ms,
+            max_attempts,
+            jitter_frac,
+            budget_per_fn,
+        }
+    }
+
     #[test]
     fn fixed_retry_caps_attempts() {
         let mut rng = RngStream::from_seed(0, "t");
-        let mut p = FixedRetry {
+        let mut spent = Vec::new();
+        let p = RetryKind::Fixed {
             max_attempts: 3,
             delay_ms: 50.0,
         };
-        assert_eq!(p.backoff_ms(0, 2, &mut rng), Some(50.0));
-        assert_eq!(p.backoff_ms(0, 3, &mut rng), Some(50.0));
-        assert_eq!(p.backoff_ms(0, 4, &mut rng), None);
-        assert_eq!(NoRetry.backoff_ms(0, 2, &mut rng), None);
+        assert_eq!(p.backoff_ms(&mut spent, 0, 2, &mut rng), Some(50.0));
+        assert_eq!(p.backoff_ms(&mut spent, 0, 3, &mut rng), Some(50.0));
+        assert_eq!(p.backoff_ms(&mut spent, 0, 4, &mut rng), None);
+        assert_eq!(RetryKind::None.backoff_ms(&mut spent, 0, 2, &mut rng), None);
     }
 
     #[test]
     fn exponential_backoff_grows_caps_and_jitters_deterministically() {
         let mut rng = RngStream::from_seed(3, "retry");
-        let mut p = ExponentialBackoff::new(100.0, 2.0, 350.0, 5, 0.0, None);
-        assert_eq!(p.backoff_ms(0, 2, &mut rng), Some(100.0));
-        assert_eq!(p.backoff_ms(0, 3, &mut rng), Some(200.0));
-        assert_eq!(p.backoff_ms(0, 4, &mut rng), Some(350.0), "capped");
-        assert_eq!(p.backoff_ms(0, 6, &mut rng), None, "attempt cap");
+        let mut spent = Vec::new();
+        let p = exponential(100.0, 350.0, 5, 0.0, None);
+        assert_eq!(p.backoff_ms(&mut spent, 0, 2, &mut rng), Some(100.0));
+        assert_eq!(p.backoff_ms(&mut spent, 0, 3, &mut rng), Some(200.0));
+        assert_eq!(
+            p.backoff_ms(&mut spent, 0, 4, &mut rng),
+            Some(350.0),
+            "capped"
+        );
+        assert_eq!(
+            p.backoff_ms(&mut spent, 0, 6, &mut rng),
+            None,
+            "attempt cap"
+        );
 
-        let mut jittered = ExponentialBackoff::new(100.0, 2.0, 350.0, 5, 0.25, None);
+        let jittered = exponential(100.0, 350.0, 5, 0.25, None);
         let mut r1 = RngStream::from_seed(3, "retry");
         let mut r2 = RngStream::from_seed(3, "retry");
-        let a = jittered.backoff_ms(0, 2, &mut r1).unwrap();
-        let mut again = ExponentialBackoff::new(100.0, 2.0, 350.0, 5, 0.25, None);
-        let b = again.backoff_ms(0, 2, &mut r2).unwrap();
+        let a = jittered.backoff_ms(&mut Vec::new(), 0, 2, &mut r1).unwrap();
+        let b = jittered.backoff_ms(&mut Vec::new(), 0, 2, &mut r2).unwrap();
         assert_eq!(a, b, "jitter is a pure function of the stream");
         assert!((75.0..=125.0).contains(&a), "jitter stays within ±25%");
     }
@@ -887,33 +877,19 @@ mod tests {
     #[test]
     fn exponential_backoff_honors_per_function_budgets() {
         let mut rng = RngStream::from_seed(0, "retry");
-        let mut p = ExponentialBackoff::new(10.0, 2.0, 100.0, 10, 0.0, Some(2));
-        assert!(p.backoff_ms(0, 2, &mut rng).is_some());
-        assert!(p.backoff_ms(0, 2, &mut rng).is_some());
-        assert_eq!(p.backoff_ms(0, 2, &mut rng), None, "budget spent");
-        assert!(p.backoff_ms(1, 2, &mut rng).is_some(), "budgets are per-fn");
-    }
-
-    #[test]
-    fn retry_kind_builds_the_named_policy() {
-        let mut rng = RngStream::from_seed(0, "retry");
-        assert_eq!(RetryKind::None.build().name(), "none");
-        let mut fixed = RetryKind::Fixed {
-            max_attempts: 2,
-            delay_ms: 10.0,
-        }
-        .build();
-        assert_eq!(fixed.name(), "fixed");
-        assert_eq!(fixed.backoff_ms(0, 2, &mut rng), Some(10.0));
-        let exp = RetryKind::ExponentialBackoff {
-            base_ms: 10.0,
-            factor: 2.0,
-            cap_ms: 100.0,
-            max_attempts: 3,
-            jitter_frac: 0.0,
-            budget_per_fn: None,
-        }
-        .build();
-        assert_eq!(exp.name(), "exponential");
+        let mut spent = Vec::new();
+        let p = exponential(10.0, 100.0, 10, 0.0, Some(2));
+        assert!(p.backoff_ms(&mut spent, 0, 2, &mut rng).is_some());
+        assert!(p.backoff_ms(&mut spent, 0, 2, &mut rng).is_some());
+        assert_eq!(
+            p.backoff_ms(&mut spent, 0, 2, &mut rng),
+            None,
+            "budget spent"
+        );
+        assert!(
+            p.backoff_ms(&mut spent, 1, 2, &mut rng).is_some(),
+            "budgets are per-fn"
+        );
+        assert_eq!(spent, vec![2, 1]);
     }
 }

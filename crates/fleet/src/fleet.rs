@@ -24,7 +24,7 @@
 //!    ingested by the embedded [`SizingService`]; a resize directive
 //!    redeploys the function at the directed size across the cluster.
 
-use crate::faults::{FaultPlan, HostCrash, Recovery, RetryKind, RetryPolicy, TransientFaults};
+use crate::faults::{FaultPlan, HostCrash, Recovery, RetryKind, TransientFaults};
 use crate::host::{Host, Placement};
 use crate::keepalive::{KeepAliveKind, KeepAlivePolicy};
 use crate::limits::{ConcurrencyLimits, ThrottleReason};
@@ -351,7 +351,10 @@ struct FaultState {
 
 /// Retry machinery installed by [`Fleet::with_retries`].
 struct RetryState {
-    policy: Box<dyn RetryPolicy>,
+    kind: RetryKind,
+    /// Retries each function has consumed, drawn down by a per-function
+    /// budget.
+    spent: Vec<usize>,
     rng: RngStream,
     /// Requests sitting out a backoff between a failed attempt and their
     /// next one — still in flight and still holding their limit slot.
@@ -574,9 +577,16 @@ impl<S: TraceSink + 'static> Fleet<S> {
     /// A request awaiting backoff stays in flight and keeps its
     /// concurrency slot; a capacity miss on a retry sheds the request via
     /// the existing 429 path instead of queueing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an exponential backoff's parameters are out of range
+    /// (see [`RetryKind::ExponentialBackoff`]).
     pub fn with_retries(mut self, kind: RetryKind) -> Self {
+        kind.assert_valid();
         self.retry = Some(RetryState {
-            policy: kind.build(),
+            kind,
+            spent: Vec::new(),
             rng: RngStream::from_seed(self.seed, "fleet").derive("retry"),
             pending: 0,
         });
@@ -878,7 +888,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
         );
         let next = done.attempt + 1;
         let backoff = match self.retry.as_mut() {
-            Some(r) => r.policy.backoff_ms(done.fn_id, next, &mut r.rng),
+            Some(r) => r.kind.backoff_ms(&mut r.spent, done.fn_id, next, &mut r.rng),
             None => None,
         };
         if let Some(delay_ms) = backoff {
@@ -1830,6 +1840,27 @@ mod tests {
         assert!(backed.counters.retries_scheduled > 0);
         assert!(backed.metrics.mean_attempts_per_completion > 1.0);
         assert!(backed.metrics.availability > bare.metrics.availability);
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter fraction must be in [0, 1]")]
+    fn with_retries_rejects_an_out_of_range_backoff() {
+        let platform = Platform::aws_like();
+        let _ = Fleet::new(
+            &platform,
+            &config(),
+            &functions(),
+            SchedulerKind::WarmFirst.build(),
+            KeepAliveKind::FixedTtl.build(2, platform.cold_start_model().idle_ttl_ms),
+        )
+        .with_retries(RetryKind::ExponentialBackoff {
+            base_ms: 50.0,
+            factor: 2.0,
+            cap_ms: 2_000.0,
+            max_attempts: 4,
+            jitter_frac: 1.5,
+            budget_per_fn: None,
+        });
     }
 
     #[test]

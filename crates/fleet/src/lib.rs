@@ -90,9 +90,7 @@ pub mod sweep;
 
 /// Re-exports of the most used fleet items.
 pub mod prelude {
-    pub use crate::faults::{
-        ExponentialBackoff, FaultPlan, FixedRetry, NoRetry, RetryKind, RetryPolicy,
-    };
+    pub use crate::faults::{FaultPlan, RetryKind};
     pub use crate::fleet::{
         run_faulted_fleet, run_fleet, run_rightsized_fleet, Fleet, FleetArrival, FleetConfig,
         FleetEvent, FleetFunction, FleetSim,
@@ -113,7 +111,7 @@ pub mod prelude {
     pub use crate::sweep::{default_threads, run_fleet_sweep, sweep, FleetJob};
 }
 
-pub use faults::{ExponentialBackoff, FaultPlan, FixedRetry, NoRetry, RetryKind, RetryPolicy};
+pub use faults::{FaultPlan, RetryKind};
 pub use fleet::{
     run_faulted_fleet, run_fleet, run_rightsized_fleet, Fleet, FleetArrival, FleetConfig,
     FleetEvent, FleetFunction, FleetSim,

@@ -37,6 +37,9 @@ pub struct Config {
     pub hot_modules: Vec<String>,
     /// Function names (bare or `Type::method`) treated as hot.
     pub hot_functions: Vec<String>,
+    /// 1-indexed `lint.toml` line of each `hot_functions` entry (empty for
+    /// a config built in code).
+    pub hot_function_lines: Vec<u32>,
     /// Module/crate-level exemptions.
     pub allows: Vec<AllowEntry>,
 }
@@ -48,6 +51,7 @@ impl Default for Config {
             sim_crates: Vec::new(),
             hot_modules: Vec::new(),
             hot_functions: Vec::new(),
+            hot_function_lines: Vec::new(),
             allows: Vec::new(),
         }
     }
@@ -193,6 +197,15 @@ impl Config {
             }
             config.allows.push(AllowEntry { rule, module, krate, reason });
         }
+        config.hot_function_lines = config
+            .hot_functions
+            .iter()
+            .map(|f| {
+                let quoted = format!("\"{f}\"");
+                let line = src.lines().position(|l| strip_comment(l).contains(&quoted));
+                line.map_or(1, |i| i as u32 + 1)
+            })
+            .collect();
         Ok(config)
     }
 }
@@ -318,6 +331,7 @@ reason = "experiment binaries may assert"
             cfg.hot_functions,
             vec!["Matrix::matmul_into", "Fleet::dispatch"]
         );
+        assert_eq!(cfg.hot_function_lines, vec![12, 13]);
         assert_eq!(cfg.allows.len(), 2);
         assert_eq!(cfg.allows[0].rule, "det003");
         assert_eq!(cfg.allows[0].module.as_deref(), Some("neural::parallel"));

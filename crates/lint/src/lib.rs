@@ -21,7 +21,10 @@
 //! - **float determinism** (`float001`): `partial_cmp(..).unwrap()` where
 //!   `total_cmp` is required;
 //! - **suppression hygiene** (`lint001`–`lint003`): reasonless, stale, or
-//!   unknown-rule suppressions.
+//!   unknown-rule suppressions;
+//! - **hot-list hygiene** (`lint004`): a `[hot] functions` entry that
+//!   names no library function, reported against `lint.toml` once the
+//!   whole tree is swept.
 //!
 //! Existing, triaged sites are recorded either inline —
 //! `// lint: allow(panic002) reason="…"` — or as module/crate-scoped
@@ -96,12 +99,15 @@ pub fn validate_config(config: &Config) -> Result<(), String> {
 /// Directory traversal is sorted so output (and CI failure order) is
 /// deterministic. Paths whose first components match a `[paths] exclude`
 /// prefix — `vendor/`, `target/`, and the linter's own violation fixtures —
-/// are skipped, as are dot-directories.
+/// are skipped, as are dot-directories. After the sweep, every `[hot]
+/// functions` entry that no library `fn` definition matched is a `lint004`
+/// finding against `lint.toml`.
 pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     collect_rs_files(root, root, config, &mut files)?;
     files.sort();
     let mut report = WorkspaceReport::default();
+    let mut hot_defined = vec![false; config.hot_functions.len()];
     for rel in files {
         let src = fs::read_to_string(root.join(&rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
@@ -109,13 +115,31 @@ pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<WorkspaceRepor
             findings,
             suppressed,
             lex_errors,
+            hot_functions_defined,
         } = scan::lint_source(&rel_str, &src, config);
+        for i in hot_functions_defined {
+            hot_defined[i] = true;
+        }
         report.files += 1;
         report.suppressed += suppressed;
         report.findings.extend(findings);
         report
             .lex_errors
             .extend(lex_errors.into_iter().map(|(l, m)| (rel_str.clone(), l, m)));
+    }
+    for (i, entry) in config.hot_functions.iter().enumerate() {
+        if !hot_defined[i] {
+            report.findings.push(Finding {
+                rule: "lint004",
+                severity: rules::Severity::Deny,
+                path: "lint.toml".into(),
+                line: config.hot_function_lines.get(i).copied().unwrap_or(1),
+                col: 1,
+                message: format!(
+                    "`[hot] functions` entry `{entry}` names no function in library code"
+                ),
+            });
+        }
     }
     Ok(report)
 }

@@ -40,7 +40,7 @@ pub struct RuleMeta {
 /// Determinism rules guard the bit-identical-replay contract, hot-path rules
 /// guard the zero-allocation kernels and service fast paths, panic rules
 /// guard library crates against aborting the simulation, and the `lint*`
-/// rules keep the suppression mechanism itself honest.
+/// rules keep the suppression mechanism and the hot list themselves honest.
 pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         id: "det001",
@@ -112,6 +112,12 @@ pub const RULES: &[RuleMeta] = &[
         id: "lint003",
         severity: Severity::Deny,
         summary: "suppression names an unknown rule id",
+    },
+    RuleMeta {
+        id: "lint004",
+        severity: Severity::Deny,
+        summary: "lint.toml [hot] functions entry that names no library function; \
+                  hot001 checks nothing for it, so fix the name or delete the entry",
     },
 ];
 

@@ -50,6 +50,9 @@ pub struct FileReport {
     pub suppressed: usize,
     /// Unlexable constructs (reported as hard errors by the CLI).
     pub lex_errors: Vec<(u32, String)>,
+    /// Indices into `Config::hot_functions` of the entries that name a
+    /// function this file defines in library code.
+    pub hot_functions_defined: Vec<usize>,
 }
 
 /// Classification of one workspace file.
@@ -128,6 +131,9 @@ struct Walker<'a> {
     frames: Vec<Frame>,
     pending: Option<Pending>,
     pending_test: bool,
+    /// Qualified names of the functions defined with a body outside test
+    /// code.
+    defined_fns: Vec<String>,
 }
 
 impl<'a> Walker<'a> {
@@ -137,6 +143,7 @@ impl<'a> Walker<'a> {
             frames: Vec::new(),
             pending: None,
             pending_test: false,
+            defined_fns: Vec::new(),
         }
     }
 
@@ -209,7 +216,12 @@ impl<'a> Walker<'a> {
             },
             TokenKind::Open if t.text == "{" => {
                 let kind = match self.pending.take() {
-                    Some(Pending::Fn(name)) => FrameKind::Fn(name),
+                    Some(Pending::Fn(name)) => {
+                        if !self.pending_test && !self.in_test() {
+                            self.defined_fns.push(name.clone());
+                        }
+                        FrameKind::Fn(name)
+                    }
                     Some(Pending::Mod(name)) => FrameKind::Mod(name),
                     Some(Pending::ImplBlock(ty)) => FrameKind::ImplBlock(ty),
                     None => FrameKind::Other,
@@ -323,7 +335,17 @@ pub fn lint_source(rel_path: &str, src: &str, config: &Config) -> FileReport {
         check_token(tokens, i, &walker, &info, config, rel_path, &mut raw);
     }
 
-    filter_report(rel_path, &info, raw, &lexed.suppressions, tokens, config, lexed.errors)
+    let mut report =
+        filter_report(rel_path, &info, raw, &lexed.suppressions, tokens, config, lexed.errors);
+    if info.kind == FileKind::Lib {
+        report.hot_functions_defined = (0..config.hot_functions.len())
+            .filter(|&i| {
+                let entry = &config.hot_functions[i];
+                walker.defined_fns.iter().any(|q| hot_entry_names(entry, q))
+            })
+            .collect();
+    }
+    report
 }
 
 const FALLBACK_META: rules::RuleMeta = rules::RuleMeta {
@@ -558,11 +580,15 @@ fn in_hot_path(walker: &Walker<'_>, info: &FileInfo, config: &Config) -> bool {
         return true;
     }
     match walker.enclosing_fn() {
-        Some(qualified) => config.hot_functions.iter().any(|f| {
-            f == qualified || Some(f.as_str()) == qualified.rsplit("::").next()
-        }),
+        Some(qualified) => config.hot_functions.iter().any(|f| hot_entry_names(f, qualified)),
         None => false,
     }
+}
+
+/// True when the `[hot] functions` entry names the function `qualified`
+/// (`Type::method`, or a bare name matching any function's last segment).
+fn hot_entry_names(entry: &str, qualified: &str) -> bool {
+    entry == qualified || Some(entry) == qualified.rsplit("::").next()
 }
 
 /// Applies inline suppressions and `lint.toml` allows, and emits the

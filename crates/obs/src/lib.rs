@@ -13,7 +13,6 @@
 //!   counts.
 //! - [`TraceSink`]: statically dispatched sinks. [`NullSink`] compiles the
 //!   instrumentation away entirely (the default everywhere);
-//!   [`RingBufferSink`] is a pre-sized, allocation-free flight recorder;
 //!   [`MemorySink`] retains everything for export.
 //! - [`export`]: JSONL (one self-describing object per line) and Chrome
 //!   trace-event JSON, loadable in `chrome://tracing` or
@@ -32,4 +31,4 @@ pub mod sink;
 
 pub use event::{FaultKind, LoopPhase, ResizeCause, ThrottleCause, TraceEvent, TraceRecord};
 pub use metrics::{trace_metrics, CounterId, HistogramId, LogHistogram, MetricsRegistry};
-pub use sink::{MemorySink, NullSink, RingBufferSink, TraceSink};
+pub use sink::{MemorySink, NullSink, TraceSink};

@@ -29,72 +29,6 @@ impl TraceSink for NullSink {
     fn record(&mut self, _at_ms: f64, _event: TraceEvent) {}
 }
 
-/// A fixed-capacity ring buffer keeping the most recent events.
-///
-/// All memory is allocated up front in [`RingBufferSink::new`]; recording
-/// overwrites the oldest entry once the buffer is full, so arbitrarily long
-/// runs can keep a bounded "flight recorder" of their tail.
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    buf: Vec<TraceRecord>,
-    capacity: usize,
-    /// Index of the oldest record once the buffer has wrapped.
-    head: usize,
-    /// Total events ever recorded (also the next sequence number).
-    recorded: u64,
-}
-
-impl RingBufferSink {
-    /// Creates a ring holding at most `capacity` records.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring buffer capacity must be positive");
-        RingBufferSink { buf: Vec::with_capacity(capacity), capacity, head: 0, recorded: 0 }
-    }
-
-    /// The fixed capacity this ring was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total events recorded over the sink's lifetime, including ones that
-    /// have since been overwritten.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// How many recorded events were dropped by overwriting.
-    pub fn overwritten(&self) -> u64 {
-        self.recorded - self.buf.len() as u64
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        let (wrapped, linear) = self.buf.split_at(self.head);
-        linear.iter().chain(wrapped.iter())
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    #[inline]
-    fn record(&mut self, at_ms: f64, event: TraceEvent) {
-        let rec = TraceRecord { at_ms, seq: self.recorded, event };
-        self.recorded += 1;
-        if self.buf.len() < self.capacity {
-            // Still inside the up-front reservation: never reallocates.
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
-        }
-    }
-}
-
 /// An unbounded in-memory sink retaining every event, for export.
 ///
 /// Used by `--trace` runs and the determinism tests: collect everything,
@@ -158,41 +92,6 @@ mod tests {
 
     fn ev(fn_id: u32) -> TraceEvent {
         TraceEvent::DriftDetected { fn_id }
-    }
-
-    #[test]
-    fn ring_keeps_everything_until_full() {
-        let mut ring = RingBufferSink::new(4);
-        for i in 0..3 {
-            ring.record(i as f64, ev(i));
-        }
-        assert_eq!(ring.recorded(), 3);
-        assert_eq!(ring.overwritten(), 0);
-        let seqs: Vec<u64> = ring.records().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_first() {
-        let mut ring = RingBufferSink::new(3);
-        for i in 0..7 {
-            ring.record(i as f64, ev(i));
-        }
-        assert_eq!(ring.recorded(), 7);
-        assert_eq!(ring.overwritten(), 4);
-        let kept: Vec<(u64, f64)> = ring.records().map(|r| (r.seq, r.at_ms)).collect();
-        assert_eq!(kept, vec![(4, 4.0), (5, 5.0), (6, 6.0)], "retains the most recent, oldest first");
-    }
-
-    #[test]
-    fn ring_never_reallocates_after_construction() {
-        let mut ring = RingBufferSink::new(8);
-        let cap_before = ring.buf.capacity();
-        for i in 0..100 {
-            ring.record(i as f64, ev(i));
-        }
-        assert_eq!(ring.buf.capacity(), cap_before);
-        assert_eq!(ring.records().count(), 8);
     }
 
     #[test]
