@@ -10,7 +10,7 @@
 use crate::CaseStudyApp;
 use serde::{Deserialize, Serialize};
 use sizeless_engine::RngStream;
-use sizeless_platform::{FunctionConfig, MemorySize, Platform};
+use sizeless_platform::{ExecutionPlan, MemorySize, Platform};
 use std::collections::BTreeMap;
 
 /// A named sequential chain of an application's functions.
@@ -114,7 +114,7 @@ pub fn simulate_workflow(
 ) -> WorkflowStats {
     assert!(requests > 0, "need at least one request");
     let functions = app.functions();
-    let configs: Vec<FunctionConfig> = workflow
+    let plans: Vec<ExecutionPlan> = workflow
         .steps
         .iter()
         .map(|step| {
@@ -125,15 +125,15 @@ pub fn simulate_workflow(
             let size = *sizes
                 .get(*step)
                 .unwrap_or_else(|| panic!("no memory size assigned to `{step}`"));
-            FunctionConfig::new(f.profile.clone(), size)
+            platform.plan(&f.profile, size)
         })
         .collect();
 
     let mut total_latency = 0.0;
     let mut total_cost = 0.0;
     for _ in 0..requests {
-        for config in &configs {
-            let record = platform.invoke(config, false, rng);
+        for plan in &plans {
+            let record = platform.invoke_planned(plan, false, rng);
             total_latency += record.duration_ms;
             total_cost += record.cost_usd;
         }

@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the platform simulator: per-invocation execution
-//! cost for each workload archetype, pricing, and cold-start sampling.
+//! cost for each workload archetype (planned per call, and from a plan
+//! built once), pricing, and cold-start sampling.
 //! These bound the wall-clock cost of dataset generation (216 M executions
 //! at paper scale).
 
@@ -25,6 +26,23 @@ fn bench_execute(c: &mut Criterion) {
     group.bench_function("twenty_stage_profile", |b| {
         let mut rng = RngStream::from_seed(2, "bench-exec-big");
         b.iter(|| platform.execute(&big, MemorySize::MB_1024, &mut rng))
+    });
+    group.finish();
+
+    // The same invocations from a plan built once, as the fleet and the
+    // measurement harness run them: only the draws and the billing remain.
+    let mut group = c.benchmark_group("platform/invoke_planned");
+    for f in MotivatingFunction::ALL {
+        let plan = platform.plan(&f.profile(), MemorySize::MB_512);
+        group.bench_function(f.name(), |b| {
+            let mut rng = RngStream::from_seed(1, "bench-exec");
+            b.iter(|| platform.invoke_planned(&plan, false, &mut rng))
+        });
+    }
+    let plan = platform.plan(&big, MemorySize::MB_1024);
+    group.bench_function("twenty_stage_profile", |b| {
+        let mut rng = RngStream::from_seed(2, "bench-exec-big");
+        b.iter(|| platform.invoke_planned(&plan, false, &mut rng))
     });
     group.finish();
 }

@@ -37,7 +37,7 @@ use sizeless_engine::{QueueKind, RngStream, SimEvent, SimTime, Simulation};
 use sizeless_obs::{
     FaultKind, LoopPhase, NullSink, ResizeCause, ThrottleCause, TraceEvent, TraceSink,
 };
-use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile};
+use sizeless_platform::{ExecutionPlan, FunctionConfig, MemorySize, Platform, ResourceProfile};
 use sizeless_telemetry::{
     FleetCounters, FleetMetrics, InvocationSample, ResourceMonitor, RightsizingCounters,
     RightsizingMetrics, SimRunStats,
@@ -370,6 +370,9 @@ struct SizingLoop {
     /// Each function's originally deployed size — the "before" side of the
     /// before/after-resize accounting.
     original: Vec<MemorySize>,
+    /// Each function's execution plan at the service's base size, for
+    /// shadow routes.
+    base_plans: Vec<ExecutionPlan>,
     counters: RightsizingCounters,
 }
 
@@ -382,6 +385,9 @@ struct SizingLoop {
 pub struct Fleet<S: TraceSink = NullSink> {
     platform: Platform,
     functions: Vec<FleetFunction>,
+    /// Each function's execution plan at its deployed size, rebuilt when a
+    /// resize or a workload shift changes the deployment.
+    plans: Vec<ExecutionPlan>,
     arrivals: Vec<ArrivalState>,
     hosts: Vec<Host>,
     scheduler: Box<dyn Scheduler>,
@@ -444,6 +450,10 @@ impl Fleet {
         Fleet {
             platform: platform.clone(),
             functions: functions.to_vec(),
+            plans: functions
+                .iter()
+                .map(|f| platform.plan(f.config.profile(), f.config.memory()))
+                .collect(),
             arrivals,
             hosts: (0..config.hosts)
                 .map(|i| Host::new(i, config.host_memory_mb))
@@ -485,6 +495,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
         Fleet {
             platform: self.platform,
             functions: self.functions,
+            plans: self.plans,
             arrivals: self.arrivals,
             hosts: self.hosts,
             scheduler: self.scheduler,
@@ -534,10 +545,16 @@ impl<S: TraceSink + 'static> Fleet<S> {
     /// the metrics the service's decisions read, with the same bits and
     /// the same `monitor` stream position as a full monitor.
     pub fn with_sizing(mut self, service: SizingService) -> Self {
+        let base = service.base();
         self.sizing = Some(SizingLoop {
             monitor: ResourceMonitor::collecting(&service.monitored_metrics()),
             service,
             original: self.functions.iter().map(|f| f.config.memory()).collect(),
+            base_plans: self
+                .functions
+                .iter()
+                .map(|f| self.platform.plan(f.config.profile(), base))
+                .collect(),
             counters: RightsizingCounters::default(),
         });
         self
@@ -729,25 +746,26 @@ impl<S: TraceSink + 'static> Fleet<S> {
             let sizing = self.sizing.as_mut().expect("shadow pools exist only with sizing");
             sizing.counters.shadow_dispatches += 1;
         }
-        // `invoke_unnamed_at` skips the per-invocation name allocation
-        // (the completion path tracks functions by id) and runs shadow
-        // invocations at the base size without cloning the profile.
-        let mut record = self.platform.invoke_unnamed_at(
-            &self.functions[fn_id].config,
-            memory,
-            cold,
-            &mut self.exec_rng,
-        );
+        // The plans were built when the deployment last changed, so an
+        // invocation only draws its noise; shadow routes run the base-size
+        // plan. The record's name stays empty (the completion path tracks
+        // functions by id).
+        let plan = match &self.sizing {
+            Some(s) if pool != fn_id => &s.base_plans[fn_id],
+            _ => &self.plans[fn_id],
+        };
+        debug_assert_eq!(plan.memory(), memory, "stale execution plan");
+        let mut record = self.platform.invoke_planned(plan, cold, &mut self.exec_rng);
         if let Some(f) = self.faults.as_ref() {
             if let Some(r) = f.recovery {
                 if now_ms < f.recovering_until[host] {
-                    // A recently rejoined host runs degraded: execution,
-                    // CPU usage, and billing all stretch — the
-                    // crash-induced latency spike the drift detector must
-                    // not mistake for workload drift.
+                    // A recently rejoined host runs degraded: execution and
+                    // CPU usage stretch, and the stretched duration is
+                    // billed — the crash-induced latency spike the drift
+                    // detector must not mistake for workload drift.
                     record.duration_ms *= r.slowdown;
-                    record.billed_ms *= r.slowdown;
-                    record.cost_usd *= r.slowdown;
+                    (record.billed_ms, record.cost_usd) =
+                        self.platform.pricing().bill(record.duration_ms, memory);
                     record.usage.duration_ms *= r.slowdown;
                     record.usage.user_cpu_ms *= r.slowdown;
                     record.usage.sys_cpu_ms *= r.slowdown;
@@ -1170,7 +1188,9 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 cause: resize_cause(d.reason),
             },
         );
-        self.functions[d.fn_id].config = config.with_memory(d.target);
+        let redeployed = config.with_memory(d.target);
+        self.plans[d.fn_id] = self.platform.plan(redeployed.profile(), d.target);
+        self.functions[d.fn_id].config = redeployed;
         let mem_mb = f64::from(d.target.mb());
         for host in &mut self.hosts {
             host.resize(d.fn_id, mem_mb, self.default_ttl_ms, now_ms);
@@ -1188,6 +1208,10 @@ impl<S: TraceSink + 'static> Fleet<S> {
     /// Panics if `fn_id` is out of range.
     pub fn shift_profile(&mut self, fn_id: usize, profile: ResourceProfile) {
         let memory = self.functions[fn_id].config.memory();
+        self.plans[fn_id] = self.platform.plan(&profile, memory);
+        if let Some(s) = &mut self.sizing {
+            s.base_plans[fn_id] = self.platform.plan(&profile, s.service.base());
+        }
         self.functions[fn_id].config = FunctionConfig::new(profile, memory);
     }
 
@@ -1888,6 +1912,39 @@ mod tests {
         // Crash-failed attempts are attempts, whatever their fate after
         // retries.
         assert!(report.counters.failed_attempts >= faults.failed_in_flight);
+    }
+
+    #[test]
+    fn recovering_hosts_bill_the_stretched_duration() {
+        // A 5 ms CPU function at 1 GB runs ~11 ms, ~33 ms at a 3x recovery
+        // slowdown: stretched or not, it bills one 100 ms increment and
+        // one per-request fee.
+        let cpu = ResourceProfile::builder("tiny").stage(Stage::cpu("work", 5.0)).build();
+        let functions = [FleetFunction::new(
+            FunctionConfig::new(cpu, MemorySize::MB_1024),
+            FleetArrival::Steady(ArrivalProcess::poisson(20.0)),
+        )];
+        let plan = FaultPlan::none()
+            .with_crash(0, 5_000.0, 1_000.0)
+            .with_recovery(10_000.0, 3.0)
+            .with_seed(5);
+        let platform = Platform::aws_like();
+        let report = run_faulted_fleet(
+            &platform,
+            &FleetConfig::new(1, 4096.0, 20_000.0, 3).with_invariant_checks(),
+            &functions,
+            SchedulerKind::WarmFirst,
+            KeepAliveKind::FixedTtl,
+            &plan,
+            RetryKind::None,
+        );
+        assert_eq!(report.faults.expect("fault plans report a summary").host_crashes, 1);
+        // About 200 of the completions fall in the recovery window.
+        assert!(report.counters.completed > 300, "{:?}", report.counters);
+        let (_, increment_cost) = platform.pricing().bill(50.0, MemorySize::MB_1024);
+        let expected =
+            (0..report.counters.completed).fold(0.0, |sum: f64, _| sum + increment_cost);
+        assert_eq!(report.counters.sum_cost_usd.to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -38,7 +38,26 @@ impl ColdStartModel {
         }
     }
 
-    /// Samples the initialization duration for a profile at a memory size.
+    /// Works out the parts of a cold start of `profile` at `memory` that
+    /// no draw changes.
+    pub(crate) fn plan(
+        &self,
+        profile: &ResourceProfile,
+        memory: MemorySize,
+        laws: &ScalingLaws,
+    ) -> ColdStartPlan {
+        ColdStartPlan {
+            fixed: LogNormal::with_mean(self.provision_ms + self.runtime_boot_ms, self.sigma)
+                // lint: allow(panic002) reason="mean and sigma are fixed positive model constants, so the distribution is valid"
+                .expect("validated parameters"),
+            load_ms: profile.package_size_mb() / laws.io_bandwidth_mbps(memory) * 1000.0,
+            init_cpu_ms: profile.init_cpu_ms() / laws.cpu_speed(memory, 1.0),
+        }
+    }
+
+    /// Samples the initialization duration for a profile at a memory size
+    /// (works out the cold start's fixed parts per call; an
+    /// [`ExecutionPlan`](crate::ExecutionPlan) holds them once).
     pub fn sample_init_ms(
         &self,
         profile: &ResourceProfile,
@@ -46,14 +65,7 @@ impl ColdStartModel {
         laws: &ScalingLaws,
         rng: &mut RngStream,
     ) -> f64 {
-        let fixed = LogNormal::with_mean(self.provision_ms + self.runtime_boot_ms, self.sigma)
-            // lint: allow(panic002) reason="mean and sigma are fixed positive model constants, so the distribution is valid"
-            .expect("validated parameters")
-            .sample(rng);
-        let load_ms =
-            profile.package_size_mb() / laws.io_bandwidth_mbps(memory) * 1000.0;
-        let init_cpu_ms = profile.init_cpu_ms() / laws.cpu_speed(memory, 1.0);
-        fixed + load_ms + init_cpu_ms
+        self.plan(profile, memory, laws).sample(rng)
     }
 
     /// The expected initialization duration (noise-free).
@@ -67,6 +79,25 @@ impl ColdStartModel {
             + self.runtime_boot_ms
             + profile.package_size_mb() / laws.io_bandwidth_mbps(memory) * 1000.0
             + profile.init_cpu_ms() / laws.cpu_speed(memory, 1.0)
+    }
+}
+
+/// A cold start of one profile at one memory size with everything but the
+/// draw worked out: [`ColdStartModel::plan`] builds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ColdStartPlan {
+    /// Sandbox provisioning plus runtime boot, the one random component.
+    fixed: LogNormal,
+    /// Deployment-package load at the memory-scaled I/O bandwidth, ms.
+    load_ms: f64,
+    /// Module-initialization CPU at the memory-scaled CPU speed, ms.
+    init_cpu_ms: f64,
+}
+
+impl ColdStartPlan {
+    /// Samples one initialization duration, ms: a single lognormal draw.
+    pub(crate) fn sample(&self, rng: &mut RngStream) -> f64 {
+        self.fixed.sample(rng) + self.load_ms + self.init_cpu_ms
     }
 }
 

@@ -25,6 +25,8 @@
 //! * [`execution`] — turns (profile, memory size) into an execution duration
 //!   and a detailed [`ResourceUsage`] record that
 //!   the telemetry crate converts into the paper's 25 monitoring metrics.
+//!   An [`ExecutionPlan`] holds everything about one (profile, size) that
+//!   no draw changes; sampling it makes only the per-invocation draws.
 //! * [`coldstart`] — initialization-latency model.
 //! * [`pool`] — the instance model: slab-backed [`WarmPool`]s
 //!   with per-release keep-alive TTLs, eviction, and wasted-idle-time
@@ -48,6 +50,14 @@
 //! let fast = platform.execute(&profile, MemorySize::MB_3008, &mut rng);
 //! let slow = platform.execute(&profile, MemorySize::MB_128, &mut rng);
 //! assert!(fast.duration_ms < slow.duration_ms);
+//!
+//! // Invoking one (profile, size) many times: plan once, then each
+//! // invocation only draws its noise and is billed.
+//! let plan = platform.plan(&profile, MemorySize::MB_512);
+//! let cold = platform.invoke_planned(&plan, true, &mut rng);
+//! let warm = platform.invoke_planned(&plan, false, &mut rng);
+//! assert!(cold.init_ms > 0.0 && warm.init_ms == 0.0);
+//! assert_eq!(warm.billed_ms % 100.0, 0.0);
 //! ```
 
 pub mod coldstart;
@@ -67,7 +77,7 @@ pub mod services;
 pub mod prelude {
     pub use crate::coldstart::ColdStartModel;
     pub use crate::error::PlatformError;
-    pub use crate::execution::{ExecutionOutcome, ResourceUsage};
+    pub use crate::execution::{ExecutionOutcome, ExecutionPlan, ResourceUsage};
     pub use crate::function::FunctionConfig;
     pub use crate::memory::MemorySize;
     pub use crate::platform::{InvocationRecord, Platform};
@@ -79,7 +89,7 @@ pub mod prelude {
 }
 
 pub use error::PlatformError;
-pub use execution::{ExecutionOutcome, ResourceUsage};
+pub use execution::{ExecutionOutcome, ExecutionPlan, ResourceUsage};
 pub use function::FunctionConfig;
 pub use memory::MemorySize;
 pub use platform::{InvocationRecord, Platform};

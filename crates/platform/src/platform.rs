@@ -2,7 +2,7 @@
 //! instances.
 
 use crate::coldstart::ColdStartModel;
-use crate::execution::{self, ExecutionOutcome, ResourceUsage};
+use crate::execution::{self, ExecutionOutcome, ExecutionPlan, ResourceUsage};
 use crate::function::FunctionConfig;
 use crate::memory::MemorySize;
 use crate::pricing::PricingModel;
@@ -88,14 +88,29 @@ impl Platform {
         &self.cold_start
     }
 
-    /// Executes a profile at `memory` on a warm instance.
+    /// Works out everything about executing `profile` at `memory` that no
+    /// draw changes, with this platform's scaling laws, services and
+    /// cold-start model. Build a plan once per (profile, size) and pass it
+    /// to [`Platform::invoke_planned`] for every invocation.
+    pub fn plan(&self, profile: &ResourceProfile, memory: MemorySize) -> ExecutionPlan {
+        ExecutionPlan::new(
+            profile,
+            memory,
+            &self.laws,
+            &self.services,
+            &self.cold_start,
+        )
+    }
+
+    /// Executes a profile at `memory` on a warm instance (builds an
+    /// [`ExecutionPlan`] per call).
     pub fn execute(
         &self,
         profile: &ResourceProfile,
         memory: MemorySize,
         rng: &mut RngStream,
     ) -> ExecutionOutcome {
-        execution::execute(profile, memory, &self.laws, &self.services, rng)
+        self.plan(profile, memory).sample(false, rng)
     }
 
     /// The expected (noise-free) duration of a profile at `memory` — the
@@ -122,10 +137,10 @@ impl Platform {
         record
     }
 
-    /// [`Platform::invoke`] with the record's `function` name left empty.
-    /// The fleet's dispatch loop already knows which function it invoked,
-    /// so the hot path skips the per-invocation name allocation; every
-    /// draw, duration, and billing figure is identical to `invoke`.
+    /// [`Platform::invoke`] with the record's `function` name left empty,
+    /// for callers that track functions by id and skip the name
+    /// allocation; every draw, duration, and billing figure is identical
+    /// to `invoke`.
     pub fn invoke_unnamed(
         &self,
         config: &FunctionConfig,
@@ -137,8 +152,12 @@ impl Platform {
 
     /// [`Platform::invoke_unnamed`] running at `memory` instead of the
     /// config's deployed size — equivalent to invoking
-    /// `config.with_memory(memory)` but without cloning the profile, for
-    /// hot paths that redirect single invocations (shadow routing).
+    /// `config.with_memory(memory)` but without cloning the profile.
+    ///
+    /// It builds an [`ExecutionPlan`] per call, which costs more than the
+    /// draws themselves; a caller that invokes the same (profile, size)
+    /// repeatedly should build the plan once with [`Platform::plan`] and
+    /// call [`Platform::invoke_planned`].
     pub fn invoke_unnamed_at(
         &self,
         config: &FunctionConfig,
@@ -146,18 +165,24 @@ impl Platform {
         cold: bool,
         rng: &mut RngStream,
     ) -> InvocationRecord {
-        let mut outcome = self.execute(config.profile(), memory, rng);
-        if cold {
-            outcome.cold_start = true;
-            outcome.init_ms =
-                self.cold_start
-                    .sample_init_ms(config.profile(), memory, &self.laws, rng);
-        }
-        let billed_ms = self.pricing.billed_ms(outcome.duration_ms);
-        let cost_usd = self.pricing.cost_usd(outcome.duration_ms, memory);
+        self.invoke_planned(&self.plan(config.profile(), memory), cold, rng)
+    }
+
+    /// Runs one invocation of a plan built by [`Platform::plan`],
+    /// optionally cold, and bills it at the plan's memory size. Only the
+    /// invocation's draws happen here. The record's `function` name is
+    /// left empty, as in [`Platform::invoke_unnamed`].
+    pub fn invoke_planned(
+        &self,
+        plan: &ExecutionPlan,
+        cold: bool,
+        rng: &mut RngStream,
+    ) -> InvocationRecord {
+        let outcome = plan.sample(cold, rng);
+        let (billed_ms, cost_usd) = self.pricing.bill(outcome.duration_ms, plan.memory());
         InvocationRecord {
             function: String::new(),
-            memory,
+            memory: plan.memory(),
             duration_ms: outcome.duration_ms,
             billed_ms,
             cost_usd,

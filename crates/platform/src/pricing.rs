@@ -59,8 +59,16 @@ impl PricingModel {
     /// assert!((cost - 0.0000252).abs() < 1e-8);
     /// ```
     pub fn cost_usd(&self, duration_ms: f64, memory: MemorySize) -> f64 {
-        let billed_s = self.billed_ms(duration_ms) / 1000.0;
-        billed_s * memory.gb() * self.gb_second_usd + self.per_request_usd
+        self.bill(duration_ms, memory).1
+    }
+
+    /// Bills one execution of `duration_ms` at size `memory`: the billed
+    /// duration, ms, and the cost, USD — [`PricingModel::billed_ms`] and
+    /// [`PricingModel::cost_usd`] in one call.
+    pub fn bill(&self, duration_ms: f64, memory: MemorySize) -> (f64, f64) {
+        let billed_ms = self.billed_ms(duration_ms);
+        let cost_usd = billed_ms / 1000.0 * memory.gb() * self.gb_second_usd + self.per_request_usd;
+        (billed_ms, cost_usd)
     }
 
     /// Cost in cents (the unit of the paper's Figure 1 axes).
@@ -103,6 +111,24 @@ mod tests {
         assert_eq!(p.billed_ms(100.0), 100.0);
         assert_eq!(p.billed_ms(100.1), 200.0);
         assert_eq!(p.billed_ms(0.0), 100.0);
+    }
+
+    #[test]
+    fn bill_pairs_billed_duration_with_cost() {
+        let p = PricingModel::aws();
+        for d in [0.0, 1.0, 99.9, 100.0, 100.1, 2345.6] {
+            let (billed, cost) = p.bill(d, MemorySize::MB_512);
+            assert_eq!(billed.to_bits(), p.billed_ms(d).to_bits());
+            assert_eq!(cost.to_bits(), p.cost_usd(d, MemorySize::MB_512).to_bits());
+        }
+        // A 20 ms and a 60 ms execution both bill one 100 ms increment,
+        // and the per-request fee is charged once.
+        assert_eq!(
+            p.bill(20.0, MemorySize::MB_1024),
+            p.bill(60.0, MemorySize::MB_1024)
+        );
+        let (_, cost) = p.bill(60.0, MemorySize::MB_1024);
+        assert_eq!(cost, 0.1 * 1.0 * p.gb_second_usd + p.per_request_usd);
     }
 
     #[test]

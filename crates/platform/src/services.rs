@@ -10,8 +10,7 @@
 use crate::memory::MemorySize;
 use crate::scaling::ScalingLaws;
 use serde::{Deserialize, Serialize};
-use sizeless_engine::dist::{Distribution, LogNormal};
-use sizeless_engine::RngStream;
+use sizeless_engine::dist::LogNormal;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -113,14 +112,12 @@ impl ServiceModel {
         }
     }
 
-    /// Samples the server-side latency of one call with `payload_kb` of
-    /// request + response payload (excludes client-side transfer time).
-    pub fn sample_latency_ms(&self, payload_kb: f64, rng: &mut RngStream) -> f64 {
-        let mean = self.base_latency_ms + self.per_kb_ms * payload_kb;
-        LogNormal::with_mean(mean, self.sigma)
+    /// The server-side latency distribution of one call with `payload_kb`
+    /// of request + response payload (excludes client-side transfer time).
+    pub fn latency(&self, payload_kb: f64) -> LogNormal {
+        LogNormal::with_mean(self.mean_latency_ms(payload_kb), self.sigma)
             // lint: allow(panic002) reason="latency parameters are validated positive at construction"
             .expect("validated at construction")
-            .sample(rng)
     }
 
     /// The expected server-side latency for a payload.
@@ -186,22 +183,6 @@ impl ServiceCatalog {
         self.models.insert(kind, model);
         self
     }
-
-    /// Total client-observed time for one service call at memory size `m`:
-    /// server-side latency plus payload transfer at the memory-scaled
-    /// network bandwidth.
-    pub fn call_time_ms(
-        &self,
-        kind: ServiceKind,
-        payload_kb: f64,
-        m: MemorySize,
-        laws: &ScalingLaws,
-        rng: &mut RngStream,
-    ) -> f64 {
-        let server = self.model(kind).sample_latency_ms(payload_kb, rng);
-        let transfer = transfer_time_ms(payload_kb, m, laws);
-        server + transfer
-    }
 }
 
 impl Default for ServiceCatalog {
@@ -211,7 +192,8 @@ impl Default for ServiceCatalog {
 }
 
 /// Client-side transfer time for `payload_kb` at the memory-scaled network
-/// bandwidth, in ms.
+/// bandwidth, in ms. A call's client-observed time is a draw of its
+/// server-side [`ServiceModel::latency`] plus this.
 pub fn transfer_time_ms(payload_kb: f64, m: MemorySize, laws: &ScalingLaws) -> f64 {
     let mbps = laws.net_bandwidth_mbps(m);
     (payload_kb / 1024.0) / mbps * 1000.0
@@ -220,6 +202,8 @@ pub fn transfer_time_ms(payload_kb: f64, m: MemorySize, laws: &ScalingLaws) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sizeless_engine::dist::Distribution;
+    use sizeless_engine::RngStream;
 
     #[test]
     fn catalog_covers_all_services() {
@@ -240,8 +224,8 @@ mod tests {
     fn latency_sampling_is_positive_and_payload_sensitive() {
         let m = ServiceModel::new(10.0, 0.3, 0.1);
         let mut rng = RngStream::from_seed(1, "svc");
-        let small: f64 = (0..2000).map(|_| m.sample_latency_ms(1.0, &mut rng)).sum();
-        let large: f64 = (0..2000).map(|_| m.sample_latency_ms(500.0, &mut rng)).sum();
+        let small: f64 = (0..2000).map(|_| m.latency(1.0).sample(&mut rng)).sum();
+        let large: f64 = (0..2000).map(|_| m.latency(500.0).sample(&mut rng)).sum();
         assert!(small > 0.0);
         assert!(large / 2000.0 > small / 2000.0 + 30.0);
     }
@@ -252,7 +236,7 @@ mod tests {
         let mut rng = RngStream::from_seed(2, "svc-mean");
         let n = 50_000;
         let avg: f64 =
-            (0..n).map(|_| m.sample_latency_ms(0.0, &mut rng)).sum::<f64>() / n as f64;
+            (0..n).map(|_| m.latency(0.0).sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((avg - 20.0).abs() / 20.0 < 0.03, "avg={avg}");
     }
 
@@ -269,30 +253,6 @@ mod tests {
         let c = ServiceCatalog::aws_like()
             .with_model(ServiceKind::DynamoDb, ServiceModel::new(99.0, 0.1, 0.0));
         assert_eq!(c.model(ServiceKind::DynamoDb).base_latency_ms, 99.0);
-    }
-
-    #[test]
-    fn call_time_includes_transfer() {
-        let c = ServiceCatalog::aws_like();
-        let laws = ScalingLaws::aws_like();
-        let mut rng = RngStream::from_seed(3, "svc-call");
-        let n = 5_000;
-        let avg_128: f64 = (0..n)
-            .map(|_| {
-                c.call_time_ms(ServiceKind::S3, 4096.0, MemorySize::MB_128, &laws, &mut rng)
-            })
-            .sum::<f64>()
-            / n as f64;
-        let avg_3008: f64 = (0..n)
-            .map(|_| {
-                c.call_time_ms(ServiceKind::S3, 4096.0, MemorySize::MB_3008, &laws, &mut rng)
-            })
-            .sum::<f64>()
-            / n as f64;
-        assert!(
-            avg_128 > avg_3008 + 10.0,
-            "large payloads transfer faster at bigger sizes: {avg_128} vs {avg_3008}"
-        );
     }
 
     #[test]

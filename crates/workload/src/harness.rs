@@ -10,7 +10,7 @@ use crate::arrival::ArrivalProcess;
 use serde::{Deserialize, Serialize};
 use sizeless_engine::RngStream;
 use sizeless_platform::pool::WarmPool;
-use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile};
+use sizeless_platform::{MemorySize, Platform, ResourceProfile};
 use sizeless_telemetry::{MetricStore, MetricVector, ResourceMonitor};
 
 /// Configuration of one performance experiment.
@@ -95,7 +95,9 @@ pub struct Measurement {
     pub summary: MeasurementSummary,
 }
 
-/// Runs one performance test of `profile` at `memory`.
+/// Runs one performance test of `profile` at `memory`. The (profile, size)
+/// is planned once ([`Platform::plan`]); each invocation only draws its
+/// noise.
 ///
 /// # Panics
 ///
@@ -120,7 +122,7 @@ pub fn run_experiment(
     );
 
     let monitor = ResourceMonitor::new();
-    let config = FunctionConfig::new(profile.clone(), memory);
+    let plan = platform.plan(profile, memory);
     let mut pool = WarmPool::new(platform.cold_start_model().idle_ttl_ms);
     let mut store = MetricStore::new();
 
@@ -130,7 +132,7 @@ pub fn run_experiment(
 
     for &at in &arrivals {
         let (instance, cold) = pool.begin(at);
-        let record = platform.invoke_unnamed(&config, cold, &mut exec_rng);
+        let record = platform.invoke_planned(&plan, cold, &mut exec_rng);
         if cold {
             cold_starts += 1;
         }
