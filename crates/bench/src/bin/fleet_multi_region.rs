@@ -252,7 +252,7 @@ fn main() {
     let mut rows: Vec<RunResult> = Vec::new();
     for &(adaptation, remeasure) in &cells {
         for &seed in &seeds {
-            let plane = ControlPlane::new(sizer.clone(), adaptation.build());
+            let plane = ControlPlane::new(sizer.clone(), adaptation);
             let report = run_multi_region(
                 &platform,
                 &regions(duration_ms, seed),

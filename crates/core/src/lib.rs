@@ -20,11 +20,11 @@
 //! phase and produces a serializable, **versioned** [`TrainedSizer`]
 //! artifact; [`service`] is the *online* loop as a layered control plane —
 //! a [`ControlPlane`] owns the shared artifact (optionally fine-tuning it
-//! from post-resize observations via an [`AdaptationPolicy`]) and serves
-//! per-region [`SizingService`] handles that ingest per-invocation
+//! from post-resize observations, as its [`AdaptationKind`] says) and
+//! serves per-region [`SizingService`] handles that ingest per-invocation
 //! telemetry incrementally, aggregate streaming windows (bit-identical to
 //! the batch aggregation), cache recommendations, and use [`drift`] plus a
-//! [`RemeasurePolicy`] (full revert or shadow sampling) to decide when and
+//! [`RemeasureKind`] (full revert or shadow sampling) to decide when and
 //! how a function must be re-measured and re-recommended. [`pipeline`]
 //! keeps the original one-shot batch façade on top of the split.
 //!
@@ -68,9 +68,8 @@ pub use optimizer::{MemoryOptimizer, OptimizationOutcome, Tradeoff};
 pub use pipeline::{PipelineConfig, SizelessPipeline};
 pub use report::render_report;
 pub use service::{
-    AdaptationKind, AdaptationPolicy, ControlPlane, DirectiveReason, FineTune, FineTuneConfig,
-    FnPhase, Frozen, FullRevert, PlaneStats, Recommendation, RemeasureAction, RemeasureKind,
-    RemeasurePolicy, RouteDecision, ServiceConfig, ServiceStats, ShadowSampling, SizingDirective,
+    AdaptationKind, ControlPlane, DirectiveReason, FineTuneConfig, FnPhase, PlaneStats,
+    Recommendation, RemeasureKind, RouteDecision, ServiceConfig, ServiceStats, SizingDirective,
     SizingService,
 };
 pub use trainer::{TrainedSizer, Trainer, TrainerConfig};

@@ -1,84 +1,25 @@
-//! Adaptation policies: what the control plane does with post-resize
-//! observations.
+//! Adaptation: what the control plane does with post-resize observations.
 //!
 //! Every resize the loop applies produces a labeled data point the offline
 //! phase never had: the base-size window a recommendation was made from
 //! *plus* the execution time actually observed at the directed size. The
-//! paper's loop discards it ([`Frozen`]); the transfer-learning proposal of
-//! its limitations section turns it into an online fine-tuning signal
-//! ([`FineTune`] — freeze the early layers, retrain the rest on the
-//! streaming observations via
+//! paper's loop discards it ([`AdaptationKind::Frozen`]); the
+//! transfer-learning proposal of its limitations section turns it into an
+//! online fine-tuning signal ([`AdaptationKind::FineTune`] — freeze the
+//! early layers, retrain the rest on the streaming observations via
 //! [`fine_tune_online`](crate::model::SizelessModel::fine_tune_online)).
+//! The [`ControlPlane`](super::ControlPlane) takes its kind at construction
+//! and matches on it for every observation.
 
-use crate::model::OnlineObservation;
-use crate::trainer::TrainedSizer;
-use sizeless_neural::Scratch;
-
-/// Digests post-resize observations on behalf of the shared artifact.
-///
-/// The control plane calls [`AdaptationPolicy::observe`] once per filled
-/// post-resize reference window, handing it mutable access to the artifact;
-/// the policy decides whether (and how) the artifact learns from it.
-///
-/// # Examples
-///
-/// A custom policy that merely counts observations without touching the
-/// artifact:
-///
-/// ```
-/// use sizeless_core::model::OnlineObservation;
-/// use sizeless_core::service::AdaptationPolicy;
-/// use sizeless_core::trainer::TrainedSizer;
-///
-/// #[derive(Debug, Default)]
-/// struct Tally(usize);
-///
-/// impl AdaptationPolicy for Tally {
-///     fn name(&self) -> &'static str {
-///         "tally"
-///     }
-///     fn observe(&mut self, _sizer: &mut TrainedSizer, _obs: OnlineObservation) -> bool {
-///         self.0 += 1;
-///         false // artifact untouched
-///     }
-/// }
-///
-/// let mut policy = Tally::default();
-/// assert_eq!(policy.name(), "tally");
-/// ```
-pub trait AdaptationPolicy: std::fmt::Debug {
-    /// The policy's display name (used in reports).
-    fn name(&self) -> &'static str;
-
-    /// Digests one observation, optionally mutating the artifact. Returns
-    /// `true` when the artifact was updated (the control plane tallies
-    /// update rounds).
-    fn observe(&mut self, sizer: &mut TrainedSizer, observation: OnlineObservation) -> bool;
-}
-
-/// The paper's loop: the artifact never changes after the offline phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Frozen;
-
-impl AdaptationPolicy for Frozen {
-    fn name(&self) -> &'static str {
-        "frozen"
-    }
-
-    fn observe(&mut self, _sizer: &mut TrainedSizer, _observation: OnlineObservation) -> bool {
-        false
-    }
-}
-
-/// Configuration of the [`FineTune`] policy.
+/// Configuration of [`AdaptationKind::FineTune`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FineTuneConfig {
     /// Early layers kept frozen during updates (clamped to leave at least
     /// one trainable layer).
     pub frozen_layers: usize,
-    /// Epochs per fine-tuning round.
+    /// Epochs per fine-tuning round (at least 1).
     pub epochs: usize,
-    /// Observations buffered before a round runs.
+    /// Observations buffered before a round runs (at least 1).
     pub batch: usize,
 }
 
@@ -92,210 +33,25 @@ impl Default for FineTuneConfig {
     }
 }
 
-/// Online transfer learning: buffer observations, periodically fine-tune
-/// the artifact's network with the early layers frozen.
-///
-/// Rounds are numbered, so repeated runs replay bit-identically (see
-/// [`fine_tune_with`](sizeless_neural::NeuralNetwork::fine_tune_with)); the
-/// scratch workspace is reused across rounds, so steady-state updates
-/// allocate nothing.
-#[derive(Debug)]
-pub struct FineTune {
-    config: FineTuneConfig,
-    pending: Vec<OnlineObservation>,
-    rounds: u64,
-    scratch: Scratch,
-}
-
-impl FineTune {
-    /// A fine-tuning policy with the given knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epochs` or `batch` is zero.
-    pub fn new(config: FineTuneConfig) -> Self {
-        assert!(config.epochs > 0, "fine-tuning needs at least one epoch");
-        assert!(config.batch > 0, "fine-tuning needs a positive batch size");
-        FineTune {
-            config,
-            pending: Vec::with_capacity(config.batch),
-            rounds: 0,
-            scratch: Scratch::new(),
-        }
-    }
-
-    /// The policy's configuration.
-    pub fn config(&self) -> &FineTuneConfig {
-        &self.config
-    }
-
-    /// Completed fine-tuning rounds.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-}
-
-impl Default for FineTune {
-    fn default() -> Self {
-        Self::new(FineTuneConfig::default())
-    }
-}
-
-impl AdaptationPolicy for FineTune {
-    fn name(&self) -> &'static str {
-        "fine-tune"
-    }
-
-    fn observe(&mut self, sizer: &mut TrainedSizer, observation: OnlineObservation) -> bool {
-        self.pending.push(observation);
-        if self.pending.len() < self.config.batch {
-            return false;
-        }
-        let rows = sizer.model_mut().fine_tune_online(
-            &self.pending,
-            self.config.frozen_layers,
-            self.config.epochs,
-            self.rounds,
-            &mut self.scratch,
-        );
-        self.pending.clear();
-        if rows > 0 {
-            self.rounds += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Built-in adaptation policies by name — the sweep/CLI-friendly
-/// counterpart of handing a boxed [`AdaptationPolicy`] around.
+/// Whether, and how, the shared artifact learns after deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdaptationKind {
-    /// [`Frozen`].
+    /// The paper's loop: the artifact never changes after the offline
+    /// phase.
     Frozen,
-    /// [`FineTune`] with the given configuration.
+    /// Online transfer learning: buffer observations and, each time a
+    /// batch fills, fine-tune the artifact's network with the early layers
+    /// frozen. Rounds are numbered, so repeated runs replay bit-identically
+    /// (see [`fine_tune_with`](sizeless_neural::NeuralNetwork::fine_tune_with)).
     FineTune(FineTuneConfig),
 }
 
 impl AdaptationKind {
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn AdaptationPolicy> {
-        match self {
-            AdaptationKind::Frozen => Box::new(Frozen),
-            AdaptationKind::FineTune(config) => Box::new(FineTune::new(config)),
-        }
-    }
-
     /// The policy's display name.
     pub fn name(self) -> &'static str {
         match self {
             AdaptationKind::Frozen => "frozen",
             AdaptationKind::FineTune(_) => "fine-tune",
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dataset::DatasetConfig;
-    use crate::trainer::{Trainer, TrainerConfig};
-    use sizeless_neural::NetworkConfig;
-    use sizeless_platform::{MemorySize, Platform};
-
-    fn quick_sizer() -> TrainedSizer {
-        let cfg = TrainerConfig {
-            dataset: DatasetConfig::tiny(24),
-            network: NetworkConfig {
-                hidden_layers: 1,
-                neurons: 16,
-                epochs: 30,
-                l2: 0.0001,
-                ..NetworkConfig::default()
-            },
-            ..TrainerConfig::default()
-        };
-        Trainer::new(cfg).train(&Platform::aws_like()).unwrap()
-    }
-
-    fn observation(sizer: &TrainedSizer) -> OnlineObservation {
-        let platform = Platform::aws_like();
-        let dataset =
-            crate::dataset::TrainingDataset::generate(&platform, &DatasetConfig::tiny(12));
-        let metrics = dataset.records[0].metrics_at(sizer.base()).clone();
-        let observed_ms = metrics.mean_execution_time_ms();
-        OnlineObservation {
-            metrics,
-            directed: MemorySize::MB_1024,
-            observed_ms,
-        }
-    }
-
-    #[test]
-    fn frozen_never_touches_the_artifact() {
-        let mut sizer = quick_sizer();
-        let before = sizer.clone();
-        let obs = observation(&sizer);
-        let mut policy = Frozen;
-        for _ in 0..5 {
-            assert!(!policy.observe(&mut sizer, obs.clone()));
-        }
-        assert_eq!(sizer, before);
-    }
-
-    #[test]
-    fn fine_tune_batches_then_updates() {
-        let mut sizer = quick_sizer();
-        let before = sizer.clone();
-        let obs = observation(&sizer);
-        let mut policy = FineTune::new(FineTuneConfig {
-            batch: 3,
-            epochs: 5,
-            frozen_layers: 1,
-        });
-        assert!(!policy.observe(&mut sizer, obs.clone()));
-        assert!(!policy.observe(&mut sizer, obs.clone()));
-        assert_eq!(sizer, before, "no update before the batch fills");
-        assert!(policy.observe(&mut sizer, obs.clone()));
-        assert_ne!(sizer, before, "a filled batch fine-tunes the artifact");
-        assert_eq!(policy.rounds(), 1);
-    }
-
-    #[test]
-    fn fine_tune_updates_are_deterministic() {
-        let obs_sizer = quick_sizer();
-        let obs = observation(&obs_sizer);
-        let run = || {
-            let mut sizer = obs_sizer.clone();
-            let mut policy = FineTune::new(FineTuneConfig {
-                batch: 2,
-                epochs: 5,
-                frozen_layers: 1,
-            });
-            for _ in 0..4 {
-                policy.observe(&mut sizer, obs.clone());
-            }
-            sizer
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn kinds_build_their_policies() {
-        assert_eq!(AdaptationKind::Frozen.build().name(), "frozen");
-        assert_eq!(
-            AdaptationKind::FineTune(FineTuneConfig::default()).build().name(),
-            "fine-tune"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one epoch")]
-    fn zero_epochs_rejected() {
-        let _ = FineTune::new(FineTuneConfig {
-            epochs: 0,
-            ..FineTuneConfig::default()
-        });
     }
 }

@@ -11,16 +11,16 @@
 //! The loop is three separable layers:
 //!
 //! * [`ControlPlane`] ([`control`]) owns the shared [`TrainedSizer`]
-//!   artifact plus an [`AdaptationPolicy`] ([`adaptation`]) that may keep
-//!   fine-tuning it online ([`Frozen`] vs [`FineTune`]); it serves any
-//!   number of per-region [`SizingService`] handles against that one
-//!   artifact.
+//!   artifact plus an [`AdaptationKind`] ([`adaptation`]) that says whether
+//!   it keeps fine-tuning it online ([`AdaptationKind::Frozen`] vs
+//!   [`AdaptationKind::FineTune`]); it serves any number of per-region
+//!   [`SizingService`] handles against that one artifact.
 //! * [`SizingService`] is the per-region serving handle: the per-function
-//!   state machine below, plus a [`RemeasurePolicy`] ([`remeasure`]) that
+//!   state machine below, plus a [`RemeasureKind`] ([`remeasure`]) that
 //!   decides how a drifted function gets fresh base-size data —
-//!   [`FullRevert`] (the paper's loop) or [`ShadowSampling`] (route a
-//!   deterministic fraction of dispatches to base, never pay a full revert
-//!   window).
+//!   [`RemeasureKind::FullRevert`] (the paper's loop) or
+//!   [`RemeasureKind::ShadowSampling`] (route a deterministic fraction of
+//!   dispatches to base, never pay a full revert window).
 //! * The embedding layer (e.g. the fleet simulator) calls
 //!   [`SizingService::route`] per dispatch and [`SizingService::ingest`]
 //!   per completion, and applies the returned [`SizingDirective`]s.
@@ -48,7 +48,7 @@
 //!   size is handed to the plane's adaptation policy.
 //! * **Watching** — tumbling windows are compared against the reference
 //!   with the Mann–Whitney/Cliff's-delta machinery of [`crate::drift`]. A
-//!   confirmed shift asks the [`RemeasurePolicy`] how to re-measure:
+//!   confirmed shift re-measures as the [`RemeasureKind`] says:
 //!   revert to base for a full measurement window (the paper's "predict
 //!   the optimal memory size for the changed function behavior again"),
 //!   or —
@@ -65,9 +65,9 @@ pub mod adaptation;
 pub mod control;
 pub mod remeasure;
 
-pub use adaptation::{AdaptationKind, AdaptationPolicy, FineTune, FineTuneConfig, Frozen};
+pub use adaptation::{AdaptationKind, FineTuneConfig};
 pub use control::{ControlPlane, PlaneStats};
-pub use remeasure::{FullRevert, RemeasureAction, RemeasureKind, RemeasurePolicy, ShadowSampling};
+pub use remeasure::RemeasureKind;
 
 use crate::drift::{detect_drift_sorted, watched_metrics, DriftColumns, DriftConfig};
 use crate::model::{OnlineObservation, PredictedTimes};
@@ -217,8 +217,9 @@ pub struct ServiceStats {
     pub entered_shadowing: usize,
     /// Post-drift re-recommendations that chose the pre-drift size again —
     /// the re-measurement was paid for nothing (a *false revert* under
-    /// [`FullRevert`]). Free in-place re-measurements of functions already
-    /// at base are counted in neither re-recommendation bucket.
+    /// [`RemeasureKind::FullRevert`]). Free in-place re-measurements of
+    /// functions already at base are counted in neither re-recommendation
+    /// bucket.
     pub rerecommend_same: usize,
     /// Post-drift re-recommendations that changed the size.
     pub rerecommend_changed: usize,
@@ -286,12 +287,12 @@ impl FnState {
 ///
 /// Create one with [`SizingService::new`] (a private single-handle frozen
 /// plane, full-revert re-measurement — the original loop) or
-/// [`ControlPlane::handle`] (shared artifact, pluggable policies).
+/// [`ControlPlane::handle`] (shared artifact, chosen policies).
 #[derive(Debug)]
 pub struct SizingService {
     plane: PlaneHandle,
     config: ServiceConfig,
-    remeasure: Box<dyn RemeasurePolicy>,
+    remeasure: RemeasureKind,
     functions: Vec<Option<FnState>>,
     watched: Vec<Metric>,
     stats: ServiceStats,
@@ -310,7 +311,7 @@ impl SizingService {
     /// Panics if the window length is below 8 — the Mann–Whitney normal
     /// approximation in the drift path needs a handful of samples per side.
     pub fn new(sizer: TrainedSizer, config: ServiceConfig) -> Self {
-        ControlPlane::frozen(sizer).handle(config, Box::new(FullRevert))
+        ControlPlane::frozen(sizer).handle(config, RemeasureKind::FullRevert)
     }
 
     /// The constructor behind [`ControlPlane::handle`].
@@ -321,7 +322,7 @@ impl SizingService {
     pub(crate) fn from_plane(
         plane: PlaneHandle,
         config: ServiceConfig,
-        remeasure: Box<dyn RemeasurePolicy>,
+        remeasure: RemeasureKind,
     ) -> Self {
         assert!(config.window >= 8, "service window must hold at least 8 samples");
         SizingService {
@@ -612,8 +613,8 @@ impl SizingService {
                     return out;
                 }
                 state.pre_drift = Some(state.current);
-                match self.remeasure.on_drift(fn_id, state.current, &report) {
-                    RemeasureAction::Revert => {
+                match self.remeasure {
+                    RemeasureKind::FullRevert => {
                         out.transition = Some(state.enter(FnPhase::Measuring, &mut self.stats));
                         state.current = base;
                         out.directive = Some(SizingDirective {
@@ -622,9 +623,9 @@ impl SizingService {
                             reason: DirectiveReason::Drift,
                         });
                     }
-                    RemeasureAction::Shadow { period } => {
+                    RemeasureKind::ShadowSampling(fraction) => {
                         out.transition = Some(state.enter(FnPhase::Shadowing, &mut self.stats));
-                        state.shadow_period = period.max(1);
+                        state.shadow_period = remeasure::shadow_period(fraction);
                         state.shadow_seq = 0;
                     }
                 }
@@ -860,7 +861,7 @@ mod tests {
                 window: 64,
                 ..ServiceConfig::default()
             },
-            Box::new(ShadowSampling::new(0.25)),
+            RemeasureKind::ShadowSampling(0.25),
         );
         let base = svc.base();
         // Same stream as the revert test: identical traffic up to drift.

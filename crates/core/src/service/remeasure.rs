@@ -1,158 +1,38 @@
-//! Re-measurement policies: how a drifted function gets fresh base-size
-//! monitoring data.
+//! Re-measurement: how a drifted function gets fresh base-size monitoring
+//! data.
 //!
 //! The model only consumes monitoring data collected at its *base* size, so
 //! after a confirmed drift the service must somehow observe the drifted
 //! workload at base again. The paper's loop does this by reverting the
-//! whole function ([`FullRevert`]) — simple, but the function then runs an
-//! entire window at a potentially much worse size. [`ShadowSampling`]
-//! instead keeps the function at its directed size and routes a small,
-//! deterministic fraction of dispatches to the base size, trading a longer
-//! re-measurement for never paying a full revert window. Which mechanism to
-//! use is a first-class [`RemeasurePolicy`] decision, taken per drift
-//! event.
+//! whole function ([`RemeasureKind::FullRevert`]) — simple, but the
+//! function then runs an entire window at a potentially much worse size.
+//! [`RemeasureKind::ShadowSampling`] instead keeps the function at its
+//! directed size and routes a small, deterministic fraction of dispatches
+//! to the base size, trading a longer re-measurement for never paying a
+//! full revert window. Each [`SizingService`](super::SizingService) handle
+//! takes its kind from [`ControlPlane::handle`](super::ControlPlane::handle)
+//! and matches on it at every confirmed drift.
 
-use crate::drift::DriftReport;
-use sizeless_platform::MemorySize;
-
-/// The mechanism a [`RemeasurePolicy`] selects for one drift event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemeasureAction {
-    /// Revert the function to the base size and collect a full measurement
-    /// window there (the paper's loop).
-    Revert,
-    /// Keep the function at its current size and route every `period`-th
-    /// dispatch to the base size until a full base-size window accumulates.
-    Shadow {
-        /// Dispatch period between shadow invocations (1 = every dispatch).
-        period: usize,
-    },
-}
-
-/// Decides how a function re-measures after confirmed drift.
-///
-/// Policies may keep internal state (e.g. per-function histories) and are
-/// consulted once per drift event, so an implementation can escalate —
-/// shadow first, revert if drift keeps confirming. The two built-ins are
-/// [`FullRevert`] and [`ShadowSampling`].
-///
-/// # Examples
-///
-/// ```
-/// use sizeless_core::drift::DriftReport;
-/// use sizeless_core::service::{FullRevert, RemeasureAction, RemeasurePolicy, ShadowSampling};
-/// use sizeless_platform::MemorySize;
-///
-/// let report = DriftReport { drifted: vec![] };
-/// let mut revert = FullRevert;
-/// assert_eq!(
-///     revert.on_drift(0, MemorySize::MB_1024, &report),
-///     RemeasureAction::Revert
-/// );
-///
-/// // An eighth of dispatches shadow to base: period 8.
-/// let mut shadow = ShadowSampling::new(0.125);
-/// assert_eq!(
-///     shadow.on_drift(0, MemorySize::MB_1024, &report),
-///     RemeasureAction::Shadow { period: 8 }
-/// );
-/// ```
-pub trait RemeasurePolicy: std::fmt::Debug {
-    /// The policy's display name (used in reports).
-    fn name(&self) -> &'static str;
-
-    /// Picks the re-measurement mechanism for `fn_id`, currently running at
-    /// `current` (never the base size — base-size drift re-measures in
-    /// place), given the confirmed drift `report`.
-    fn on_drift(
-        &mut self,
-        fn_id: usize,
-        current: MemorySize,
-        report: &DriftReport,
-    ) -> RemeasureAction;
-}
-
-/// The paper's behavior: revert to base for a full measurement window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FullRevert;
-
-impl RemeasurePolicy for FullRevert {
-    fn name(&self) -> &'static str {
-        "full-revert"
-    }
-
-    fn on_drift(&mut self, _fn_id: usize, _current: MemorySize, _report: &DriftReport) -> RemeasureAction {
-        RemeasureAction::Revert
-    }
-}
-
-/// Shadow re-measurement: keep serving at the directed size, route a
-/// deterministic fraction of dispatches to base.
-///
-/// The fraction is realized as a fixed dispatch period (`round(1 /
-/// fraction)`, floored at 1), so routing needs no randomness and replays
-/// bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShadowSampling {
-    fraction: f64,
-    period: usize,
-}
-
-impl ShadowSampling {
-    /// A policy shadowing roughly `fraction` of dispatches to base.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction <= 1`.
-    pub fn new(fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "shadow fraction must be in (0, 1], got {fraction}"
-        );
-        ShadowSampling {
-            fraction,
-            period: ((1.0 / fraction).round() as usize).max(1),
-        }
-    }
-
-    /// The configured shadow fraction.
-    pub fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
-    /// The dispatch period the fraction rounds to.
-    pub fn period(&self) -> usize {
-        self.period
-    }
-}
-
-impl RemeasurePolicy for ShadowSampling {
-    fn name(&self) -> &'static str {
-        "shadow-sampling"
-    }
-
-    fn on_drift(&mut self, _fn_id: usize, _current: MemorySize, _report: &DriftReport) -> RemeasureAction {
-        RemeasureAction::Shadow { period: self.period }
-    }
-}
-
-/// Built-in re-measurement policies by name — the sweep/CLI-friendly
-/// counterpart of handing a boxed [`RemeasurePolicy`] around.
+/// How a drifted function re-measures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RemeasureKind {
-    /// [`FullRevert`].
+    /// Revert the function to the base size and collect a full measurement
+    /// window there (the paper's loop).
     FullRevert,
-    /// [`ShadowSampling`] with the given fraction.
+    /// Keep serving at the directed size and route roughly the given
+    /// fraction of dispatches to the base size until a full base-size
+    /// window accumulates. The fraction is realized as a fixed dispatch
+    /// period (`round(1 / fraction)`, floored at 1), so routing needs no
+    /// randomness and replays bit-identically. It must be in `(0, 1]`.
     ShadowSampling(f64),
 }
 
 impl RemeasureKind {
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn RemeasurePolicy> {
-        match self {
-            RemeasureKind::FullRevert => Box::new(FullRevert),
-            RemeasureKind::ShadowSampling(fraction) => Box::new(ShadowSampling::new(fraction)),
-        }
+    /// The kind itself: [`ControlPlane::handle`](super::ControlPlane::handle)
+    /// takes it directly. Kept because `perfbench/src/closed_loop.rs` still
+    /// calls it; it goes once the benchmark harness passes the kind.
+    pub fn build(self) -> Self {
+        self
     }
 
     /// The policy's display name.
@@ -164,50 +44,27 @@ impl RemeasureKind {
     }
 }
 
+/// The dispatch period that realizes a shadow `fraction`.
+pub(super) fn shadow_period(fraction: f64) -> usize {
+    ((1.0 / fraction).round() as usize).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report() -> DriftReport {
-        DriftReport { drifted: vec![] }
-    }
-
-    #[test]
-    fn full_revert_always_reverts() {
-        let mut p = FullRevert;
-        assert_eq!(p.name(), "full-revert");
-        assert_eq!(
-            p.on_drift(3, MemorySize::MB_512, &report()),
-            RemeasureAction::Revert
-        );
-    }
-
     #[test]
     fn shadow_fraction_rounds_to_a_period() {
-        assert_eq!(ShadowSampling::new(0.125).period(), 8);
-        assert_eq!(ShadowSampling::new(0.1).period(), 10);
-        assert_eq!(ShadowSampling::new(1.0).period(), 1);
-        assert_eq!(ShadowSampling::new(0.3).period(), 3);
-        let mut p = ShadowSampling::new(0.25);
-        assert_eq!(
-            p.on_drift(0, MemorySize::MB_1024, &report()),
-            RemeasureAction::Shadow { period: 4 }
-        );
+        assert_eq!(shadow_period(0.125), 8);
+        assert_eq!(shadow_period(0.1), 10);
+        assert_eq!(shadow_period(1.0), 1);
+        assert_eq!(shadow_period(0.3), 3);
+        assert_eq!(shadow_period(0.25), 4);
     }
 
     #[test]
-    #[should_panic(expected = "shadow fraction")]
-    fn zero_fraction_rejected() {
-        let _ = ShadowSampling::new(0.0);
-    }
-
-    #[test]
-    fn kinds_build_their_policies() {
-        assert_eq!(RemeasureKind::FullRevert.build().name(), "full-revert");
-        assert_eq!(
-            RemeasureKind::ShadowSampling(0.2).build().name(),
-            "shadow-sampling"
-        );
+    fn kinds_have_display_names() {
+        assert_eq!(RemeasureKind::FullRevert.name(), "full-revert");
         assert_eq!(RemeasureKind::ShadowSampling(0.2).name(), "shadow-sampling");
     }
 }

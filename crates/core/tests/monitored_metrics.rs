@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use sizeless_core::dataset::DatasetConfig;
 use sizeless_core::features::FeatureSet;
 use sizeless_core::service::{
-    AdaptationPolicy, ControlPlane, FineTune, FineTuneConfig, Frozen, FullRevert,
-    RemeasurePolicy, RouteDecision, ServiceConfig, ShadowSampling, SizingService,
+    AdaptationKind, ControlPlane, FineTuneConfig, RemeasureKind, RouteDecision, ServiceConfig,
+    SizingService,
 };
 use sizeless_core::trainer::{TrainedSizer, Trainer, TrainerConfig};
 use sizeless_engine::RngStream;
@@ -57,19 +57,19 @@ fn sizer(feature_set: FeatureSet) -> &'static TrainedSizer {
 
 /// A service on its own plane over a copy of `sizer`.
 fn service(sizer: &TrainedSizer, window: usize, fine_tune: bool, shadow: bool) -> SizingService {
-    let adaptation: Box<dyn AdaptationPolicy> = if fine_tune {
-        Box::new(FineTune::new(FineTuneConfig {
+    let adaptation = if fine_tune {
+        AdaptationKind::FineTune(FineTuneConfig {
             frozen_layers: 1,
             epochs: 3,
             batch: 1,
-        }))
+        })
     } else {
-        Box::new(Frozen)
+        AdaptationKind::Frozen
     };
-    let remeasure: Box<dyn RemeasurePolicy> = if shadow {
-        Box::new(ShadowSampling::new(0.25))
+    let remeasure = if shadow {
+        RemeasureKind::ShadowSampling(0.25)
     } else {
-        Box::new(FullRevert)
+        RemeasureKind::FullRevert
     };
     let config = ServiceConfig {
         window,

@@ -2,37 +2,11 @@
 //!
 //! The measurement methodology of the paper drives each function at 30
 //! requests per second with *exponentially distributed inter-arrival times*
-//! ([`Exponential`]); cloud execution-time noise is well described by
-//! right-skewed distributions ([`LogNormal`], [`Gamma`]); cold-start
-//! durations and payload sizes use [`Normal`] / [`Uniform`] / [`Pareto`]
-//! components.
+//! ([`Exponential`]); cloud execution-time noise, managed-service latencies
+//! and cold-start durations are right-skewed and strictly positive
+//! ([`LogNormal`]).
 
 use crate::rng::RngStream;
-
-/// A sampleable, one-dimensional distribution.
-///
-/// Implementors are small value types; the trait is object-safe so models can
-/// store heterogeneous `Box<dyn Distribution>` latency components.
-pub trait Distribution: std::fmt::Debug + Send + Sync {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut RngStream) -> f64;
-
-    /// The distribution mean, used for analytic sanity checks.
-    fn mean(&self) -> f64;
-}
-
-/// Point mass at a single value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Deterministic(pub f64);
-
-impl Distribution for Deterministic {
-    fn sample(&self, _rng: &mut RngStream) -> f64 {
-        self.0
-    }
-    fn mean(&self) -> f64 {
-        self.0
-    }
-}
 
 /// Exponential distribution with rate `λ` (mean `1/λ`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,42 +37,11 @@ impl Exponential {
     pub fn rate(&self) -> f64 {
         self.rate
     }
-}
 
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut RngStream) -> f64 {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut RngStream) -> f64 {
         // Inverse CDF; 1 - u ∈ (0, 1] avoids ln(0).
         -(1.0 - rng.next_f64()).ln() / self.rate
-    }
-    fn mean(&self) -> f64 {
-        1.0 / self.rate
-    }
-}
-
-/// Normal distribution `N(mean, std²)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` if `std` is negative or either parameter is non-finite.
-    pub fn new(mean: f64, std: f64) -> Option<Self> {
-        (std >= 0.0 && mean.is_finite() && std.is_finite()).then_some(Normal { mean, std })
-    }
-}
-
-impl Distribution for Normal {
-    fn sample(&self, rng: &mut RngStream) -> f64 {
-        self.mean + self.std * rng.standard_normal()
-    }
-    fn mean(&self) -> f64 {
-        self.mean
     }
 }
 
@@ -136,128 +79,15 @@ impl LogNormal {
         }
         Self::new(mean.ln() - sigma * sigma / 2.0, sigma)
     }
-}
 
-impl Distribution for LogNormal {
-    fn sample(&self, rng: &mut RngStream) -> f64 {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut RngStream) -> f64 {
         (self.mu + self.sigma * rng.standard_normal()).exp()
     }
-    fn mean(&self) -> f64 {
+
+    /// The distribution mean.
+    pub fn mean(&self) -> f64 {
         (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-}
-
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` if the range is empty or non-finite.
-    pub fn new(lo: f64, hi: f64) -> Option<Self> {
-        (lo < hi && lo.is_finite() && hi.is_finite()).then_some(Uniform { lo, hi })
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut RngStream) -> f64 {
-        rng.uniform(self.lo, self.hi)
-    }
-    fn mean(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-}
-
-/// Gamma distribution with shape `k` and scale `θ` (mean `kθ`), sampled with
-/// the Marsaglia–Tsang method.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gamma {
-    shape: f64,
-    scale: f64,
-}
-
-impl Gamma {
-    /// Creates a gamma distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` unless both parameters are strictly positive and finite.
-    pub fn new(shape: f64, scale: f64) -> Option<Self> {
-        (shape > 0.0 && scale > 0.0 && shape.is_finite() && scale.is_finite())
-            .then_some(Gamma { shape, scale })
-    }
-}
-
-impl Distribution for Gamma {
-    fn sample(&self, rng: &mut RngStream) -> f64 {
-        // Marsaglia–Tsang; boost shape < 1 via the u^(1/k) trick.
-        let (k, boost) = if self.shape < 1.0 {
-            (
-                self.shape + 1.0,
-                (rng.next_f64().max(f64::MIN_POSITIVE)).powf(1.0 / self.shape),
-            )
-        } else {
-            (self.shape, 1.0)
-        };
-        let d = k - 1.0 / 3.0;
-        let c = 1.0 / (9.0 * d).sqrt();
-        loop {
-            let x = rng.standard_normal();
-            let v = 1.0 + c * x;
-            if v <= 0.0 {
-                continue;
-            }
-            let v3 = v * v * v;
-            let u = rng.next_f64();
-            if u < 1.0 - 0.0331 * x * x * x * x
-                || u.ln() < 0.5 * x * x + d * (1.0 - v3 + v3.ln())
-            {
-                return boost * d * v3 * self.scale;
-            }
-        }
-    }
-    fn mean(&self) -> f64 {
-        self.shape * self.scale
-    }
-}
-
-/// Pareto (type I) distribution with minimum `x_m` and tail index `α`.
-///
-/// Used for heavy-tailed payload sizes; the mean is finite only for `α > 1`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` unless `x_min > 0` and `alpha > 0`.
-    pub fn new(x_min: f64, alpha: f64) -> Option<Self> {
-        (x_min > 0.0 && alpha > 0.0 && x_min.is_finite() && alpha.is_finite())
-            .then_some(Pareto { x_min, alpha })
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample(&self, rng: &mut RngStream) -> f64 {
-        self.x_min / (1.0 - rng.next_f64()).powf(1.0 / self.alpha)
-    }
-    fn mean(&self) -> f64 {
-        if self.alpha > 1.0 {
-            self.alpha * self.x_min / (self.alpha - 1.0)
-        } else {
-            f64::INFINITY
-        }
     }
 }
 
@@ -265,23 +95,15 @@ impl Distribution for Pareto {
 mod tests {
     use super::*;
 
-    fn empirical_mean(d: &dyn Distribution, n: usize, seed: u64) -> f64 {
+    fn empirical_mean(mut draw: impl FnMut(&mut RngStream) -> f64, n: usize, seed: u64) -> f64 {
         let mut rng = RngStream::from_seed(seed, "dist-test");
-        (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64
-    }
-
-    #[test]
-    fn deterministic_is_constant() {
-        let d = Deterministic(4.2);
-        let mut rng = RngStream::from_seed(0, "d");
-        assert_eq!(d.sample(&mut rng), 4.2);
-        assert_eq!(d.mean(), 4.2);
+        (0..n).map(|_| draw(&mut rng)).sum::<f64>() / n as f64
     }
 
     #[test]
     fn exponential_mean_converges() {
         let d = Exponential::with_mean(33.3).unwrap();
-        let m = empirical_mean(&d, 50_000, 1);
+        let m = empirical_mean(|rng| d.sample(rng), 50_000, 1);
         assert!((m - 33.3).abs() / 33.3 < 0.03, "m={m}");
     }
 
@@ -302,17 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn normal_mean_converges() {
-        let d = Normal::new(10.0, 3.0).unwrap();
-        let m = empirical_mean(&d, 50_000, 3);
-        assert!((m - 10.0).abs() < 0.1, "m={m}");
-    }
-
-    #[test]
     fn lognormal_with_mean_hits_target() {
         let d = LogNormal::with_mean(5.0, 0.4).unwrap();
         assert!((d.mean() - 5.0).abs() < 1e-9);
-        let m = empirical_mean(&d, 100_000, 4);
+        let m = empirical_mean(|rng| d.sample(rng), 100_000, 4);
         assert!((m - 5.0).abs() / 5.0 < 0.03, "m={m}");
     }
 
@@ -326,63 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn uniform_mean_and_bounds() {
-        let d = Uniform::new(2.0, 6.0).unwrap();
-        assert_eq!(d.mean(), 4.0);
-        let mut rng = RngStream::from_seed(6, "u");
-        for _ in 0..1000 {
-            let v = d.sample(&mut rng);
-            assert!((2.0..6.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn gamma_mean_converges_shape_above_one() {
-        let d = Gamma::new(3.0, 2.0).unwrap();
-        let m = empirical_mean(&d, 50_000, 7);
-        assert!((m - 6.0).abs() / 6.0 < 0.03, "m={m}");
-    }
-
-    #[test]
-    fn gamma_mean_converges_shape_below_one() {
-        let d = Gamma::new(0.5, 4.0).unwrap();
-        let m = empirical_mean(&d, 100_000, 8);
-        assert!((m - 2.0).abs() / 2.0 < 0.05, "m={m}");
-    }
-
-    #[test]
-    fn gamma_positive() {
-        let d = Gamma::new(0.3, 1.0).unwrap();
-        let mut rng = RngStream::from_seed(9, "g");
-        for _ in 0..1000 {
-            assert!(d.sample(&mut rng) > 0.0);
-        }
-    }
-
-    #[test]
-    fn pareto_respects_minimum() {
-        let d = Pareto::new(1.5, 2.5).unwrap();
-        let mut rng = RngStream::from_seed(10, "p");
-        for _ in 0..1000 {
-            assert!(d.sample(&mut rng) >= 1.5);
-        }
-    }
-
-    #[test]
-    fn pareto_mean() {
-        let d = Pareto::new(1.0, 3.0).unwrap();
-        assert!((d.mean() - 1.5).abs() < 1e-12);
-        assert_eq!(Pareto::new(1.0, 0.5).unwrap().mean(), f64::INFINITY);
-        let m = empirical_mean(&d, 200_000, 11);
-        assert!((m - 1.5).abs() / 1.5 < 0.05, "m={m}");
-    }
-
-    #[test]
     fn constructors_reject_invalid() {
-        assert!(Normal::new(0.0, -1.0).is_none());
-        assert!(Uniform::new(1.0, 1.0).is_none());
-        assert!(Gamma::new(0.0, 1.0).is_none());
-        assert!(Pareto::new(0.0, 1.0).is_none());
         assert!(LogNormal::with_mean(0.0, 1.0).is_none());
     }
 }

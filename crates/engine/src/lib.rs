@@ -12,8 +12,8 @@
 //!   decorrelated streams and experiments replay exactly.
 //! * [`dist`] — the probability distributions used by the platform model:
 //!   exponential inter-arrival times (the paper drives functions at 30 rps
-//!   with exponentially distributed inter-arrival time), lognormal latency
-//!   noise, and friends.
+//!   with exponentially distributed inter-arrival time) and lognormal
+//!   latency noise.
 //! * [`sim`] — a minimal simulation driver over typed, `Copy` events.
 //!
 //! # Examples
@@ -35,16 +35,13 @@ pub mod time;
 
 /// Convenient re-exports of the most used engine items.
 pub mod prelude {
-    pub use crate::dist::{
-        Deterministic, Distribution, Exponential, Gamma, LogNormal, Normal, Pareto, Uniform,
-    };
+    pub use crate::dist::{Exponential, LogNormal};
     pub use crate::queue::EventQueue;
     pub use crate::rng::RngStream;
     pub use crate::sim::Simulation;
     pub use crate::time::{SimDuration, SimTime};
 }
 
-pub use dist::Distribution;
 pub use queue::{EventQueue, QueueKind};
 pub use rng::{box_muller, fnv1a, RngStream};
 pub use sim::{SimEvent, SimStats, Simulation};

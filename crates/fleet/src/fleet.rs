@@ -1305,7 +1305,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
     }
 
     /// Schedules every function's first arrival onto `sim`. Together with
-    /// [`Fleet::into_report`] this is the decomposed [`Fleet::run`]:
+    /// [`Fleet::into_report_and_sink`] this is the decomposed [`Fleet::run`]:
     /// external drivers (e.g. [`run_multi_region`](crate::region)) prime
     /// several fleets onto their own simulations, interleave them through
     /// one merged deterministic event loop, and report each at the end.
@@ -1355,14 +1355,9 @@ impl<S: TraceSink + 'static> Fleet<S> {
         self.functions.len() * 2 + rps as usize + 64
     }
 
-    /// Finalizes accounting and produces the report. `sim` must be the
-    /// (drained) simulation this fleet ran on.
-    pub fn into_report(self, sim: &FleetSim<S>) -> FleetReport {
-        self.into_report_and_sink(sim).0
-    }
-
-    /// [`Fleet::into_report`], also handing the trace sink back to the
-    /// caller for export.
+    /// Finalizes accounting and produces the report, handing the trace sink
+    /// back to the caller for export. `sim` must be the (drained)
+    /// simulation this fleet ran on.
     pub fn into_report_and_sink(mut self, sim: &FleetSim<S>) -> (FleetReport, S) {
         let horizon_ms = sim.now().as_millis().max(self.duration_ms);
         for host in &mut self.hosts {

@@ -273,7 +273,7 @@ where
                 opts.scheduler.build(),
                 opts.keepalive.build(spec.functions.len(), default_ttl),
             )
-            .with_sizing(plane.handle(opts.service, opts.remeasure.build()))
+            .with_sizing(plane.handle(opts.service, opts.remeasure))
             .with_trace(make_sink(i));
             if let Some((plan, retry)) = &faults {
                 // Regions draw independent fault streams: same plan, seed
@@ -506,8 +506,7 @@ mod tests {
                     batch: 1,
                     epochs: 4,
                     frozen_layers: 1,
-                })
-                .build(),
+                }),
             );
             run_multi_region(
                 &platform,

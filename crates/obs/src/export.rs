@@ -1,15 +1,11 @@
-//! Exporters and the matching parser for the structured event log.
+//! The exporter and the matching parser for the structured event log.
 //!
-//! Two formats: JSONL (one self-describing object per line, the format
-//! CI schema-validates and byte-compares) and the Chrome trace-event JSON
-//! array, which loads directly in `chrome://tracing` or
-//! <https://ui.perfetto.dev>.
+//! The format is JSONL: one self-describing object per line, the format
+//! CI schema-validates and byte-compares.
 //!
 //! All serialization is hand-rolled over [`std::fmt::Write`]: field order is
 //! fixed, floats use Rust's shortest-round-trip formatting, and no map types
 //! are involved — identical runs therefore export byte-identical logs.
-
-use std::fmt::Write as _;
 
 use crate::event::{FaultKind, LoopPhase, ResizeCause, ThrottleCause, TraceEvent, TraceRecord};
 
@@ -23,129 +19,6 @@ pub fn jsonl(records: &[TraceRecord]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Serializes records as a Chrome trace-event JSON array.
-///
-/// Every event becomes a global instant event (`"ph":"i"`, `"s":"g"`) whose
-/// `ts` is the virtual time converted to microseconds and whose `tid` lanes
-/// events by function id (or region/host for events without one), so the
-/// Perfetto timeline groups each function's dispatches, resizes, and phase
-/// transitions onto one track.
-pub fn chrome_trace(records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 128 + 2);
-    out.push('[');
-    for (i, rec) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        let tid = match rec.event {
-            TraceEvent::Dispatch { fn_id, .. }
-            | TraceEvent::ColdStart { fn_id, .. }
-            | TraceEvent::Throttle { fn_id, .. }
-            | TraceEvent::Resize { fn_id, .. }
-            | TraceEvent::DriftDetected { fn_id }
-            | TraceEvent::PhaseTransition { fn_id, .. }
-            | TraceEvent::ShadowRoute { fn_id, .. }
-            | TraceEvent::InvocationFailed { fn_id, .. }
-            | TraceEvent::RetryScheduled { fn_id, .. }
-            | TraceEvent::RegionFailover { fn_id, .. }
-            | TraceEvent::DriftSuppressed { fn_id } => fn_id,
-            TraceEvent::Eviction { host, .. }
-            | TraceEvent::HostDown { host, .. }
-            | TraceEvent::HostUp { host, .. } => host,
-            TraceEvent::ArtifactUpdate { .. } => 0,
-            TraceEvent::RegionHandoff { to_region, .. } => to_region,
-        };
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"fleet\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"g\",\"args\":",
-            rec.event.kind(),
-            rec.at_ms * 1000.0,
-            tid
-        );
-        write_args(&mut out, rec);
-        out.push('}');
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-/// Writes the event payload (plus `seq`) as the Chrome `args` object.
-fn write_args(out: &mut String, rec: &TraceRecord) {
-    let _ = write!(out, "{{\"seq\":{}", rec.seq);
-    match rec.event {
-        TraceEvent::Dispatch { fn_id, host, memory_mb, cold, shadow } => {
-            let _ = write!(
-                out,
-                ",\"fn_id\":{fn_id},\"host\":{host},\"memory_mb\":{memory_mb},\"cold\":{cold},\"shadow\":{shadow}"
-            );
-        }
-        TraceEvent::ColdStart { fn_id, host, memory_mb, init_ms } => {
-            let _ = write!(
-                out,
-                ",\"fn_id\":{fn_id},\"host\":{host},\"memory_mb\":{memory_mb},\"init_ms\":{init_ms}"
-            );
-        }
-        TraceEvent::Eviction { host, evicted } => {
-            let _ = write!(out, ",\"host\":{host},\"evicted\":{evicted}");
-        }
-        TraceEvent::Throttle { fn_id, cause } => {
-            let _ = write!(out, ",\"fn_id\":{fn_id},\"cause\":\"{}\"", cause.name());
-        }
-        TraceEvent::Resize { fn_id, from_mb, to_mb, cause } => {
-            let _ = write!(
-                out,
-                ",\"fn_id\":{fn_id},\"from_mb\":{from_mb},\"to_mb\":{to_mb},\"cause\":\"{}\"",
-                cause.name()
-            );
-        }
-        TraceEvent::DriftDetected { fn_id } => {
-            let _ = write!(out, ",\"fn_id\":{fn_id}");
-        }
-        TraceEvent::PhaseTransition { fn_id, from, to } => {
-            let _ = write!(out, ",\"fn_id\":{fn_id},\"from\":\"{}\",\"to\":\"{}\"", from.name(), to.name());
-        }
-        TraceEvent::ShadowRoute { fn_id, base_mb } => {
-            let _ = write!(out, ",\"fn_id\":{fn_id},\"base_mb\":{base_mb}");
-        }
-        TraceEvent::ArtifactUpdate { updates } => {
-            let _ = write!(out, ",\"updates\":{updates}");
-        }
-        TraceEvent::RegionHandoff { from_region, to_region } => {
-            let _ = write!(out, ",\"from_region\":{from_region},\"to_region\":{to_region}");
-        }
-        TraceEvent::HostDown { host, failed_in_flight, lost_warm } => {
-            let _ = write!(
-                out,
-                ",\"host\":{host},\"failed_in_flight\":{failed_in_flight},\"lost_warm\":{lost_warm}"
-            );
-        }
-        TraceEvent::HostUp { host, down_ms } => {
-            let _ = write!(out, ",\"host\":{host},\"down_ms\":{down_ms}");
-        }
-        TraceEvent::InvocationFailed { fn_id, host, attempt, cause } => {
-            let _ = write!(
-                out,
-                ",\"fn_id\":{fn_id},\"host\":{host},\"attempt\":{attempt},\"cause\":\"{}\"",
-                cause.name()
-            );
-        }
-        TraceEvent::RetryScheduled { fn_id, attempt, delay_ms } => {
-            let _ = write!(out, ",\"fn_id\":{fn_id},\"attempt\":{attempt},\"delay_ms\":{delay_ms}");
-        }
-        TraceEvent::RegionFailover { fn_id, from_region, to_region } => {
-            let _ = write!(
-                out,
-                ",\"fn_id\":{fn_id},\"from_region\":{from_region},\"to_region\":{to_region}"
-            );
-        }
-        TraceEvent::DriftSuppressed { fn_id } => {
-            let _ = write!(out, ",\"fn_id\":{fn_id}");
-        }
-    }
-    out.push('}');
 }
 
 /// A malformed line encountered by [`parse_jsonl`].
@@ -383,23 +256,5 @@ mod tests {
         let parsed = parse_jsonl(text).expect("blank lines are ignored");
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].event, TraceEvent::DriftDetected { fn_id: 7 });
-    }
-
-    #[test]
-    fn chrome_trace_is_a_json_array_of_instants() {
-        let records = sample_records();
-        let text = chrome_trace(&records);
-        assert!(text.starts_with('['));
-        assert!(text.ends_with("]\n"));
-        // One line per event plus the closing bracket line.
-        let event_lines: Vec<&str> =
-            text.lines().filter(|l| l.contains("\"ph\":\"i\"")).collect();
-        assert_eq!(event_lines.len(), records.len());
-        // Virtual ms are exported as µs.
-        assert!(event_lines[1].contains("\"ts\":10500"), "{}", event_lines[1]);
-        // Dispatch events lane by function id.
-        assert!(event_lines[0].contains("\"tid\":0"), "{}", event_lines[0]);
-        // Eviction lanes by host.
-        assert!(event_lines[2].contains("\"tid\":1"), "{}", event_lines[2]);
     }
 }

@@ -14,9 +14,8 @@
 //! - [`TraceSink`]: statically dispatched sinks. [`NullSink`] compiles the
 //!   instrumentation away entirely (the default everywhere);
 //!   [`MemorySink`] retains everything for export.
-//! - [`export`]: JSONL (one self-describing object per line) and Chrome
-//!   trace-event JSON, loadable in `chrome://tracing` or
-//!   <https://ui.perfetto.dev>, plus a parser for round-trip analysis.
+//! - [`export`]: JSONL (one self-describing object per line), plus a
+//!   parser for round-trip analysis.
 //! - [`LogHistogram`]/[`MetricsRegistry`]: deterministic fixed-bucket
 //!   log-scale histograms and monotone counters, snapshottable to JSON at
 //!   any virtual time; [`trace_metrics`] folds a recorded trace into one.

@@ -32,9 +32,9 @@ impl TraceSink for NullSink {
 /// An unbounded in-memory sink retaining every event, for export.
 ///
 /// Used by `--trace` runs and the determinism tests: collect everything,
-/// then serialize with [`MemorySink::to_jsonl`] or
-/// [`MemorySink::to_chrome_trace`]. `record` only ever appends (amortized
-/// allocation-free), so it is safe on the hot path for bounded runs.
+/// then serialize with [`MemorySink::to_jsonl`]. `record` only ever appends
+/// (amortized allocation-free), so it is safe on the hot path for bounded
+/// runs.
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     records: Vec<TraceRecord>,
@@ -69,12 +69,6 @@ impl MemorySink {
     /// Exports the full log as JSONL (one event object per line).
     pub fn to_jsonl(&self) -> String {
         crate::export::jsonl(&self.records)
-    }
-
-    /// Exports the full log in Chrome trace-event format, loadable in
-    /// `chrome://tracing` or <https://ui.perfetto.dev>.
-    pub fn to_chrome_trace(&self) -> String {
-        crate::export::chrome_trace(&self.records)
     }
 }
 

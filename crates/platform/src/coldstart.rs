@@ -10,7 +10,7 @@ use crate::memory::MemorySize;
 use crate::resource::ResourceProfile;
 use crate::scaling::ScalingLaws;
 use serde::{Deserialize, Serialize};
-use sizeless_engine::dist::{Distribution, LogNormal};
+use sizeless_engine::dist::LogNormal;
 use sizeless_engine::RngStream;
 
 /// Parameters of the cold-start model.

@@ -30,7 +30,7 @@ use crate::resource::ResourceProfile;
 use crate::scaling::ScalingLaws;
 use crate::services::ServiceCatalog;
 use serde::{Deserialize, Serialize};
-use sizeless_engine::dist::{Distribution, LogNormal};
+use sizeless_engine::dist::LogNormal;
 use sizeless_engine::RngStream;
 
 /// Ground-truth resource consumption of one invocation.

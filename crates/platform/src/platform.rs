@@ -24,8 +24,6 @@ pub struct Platform {
 /// One billed invocation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InvocationRecord {
-    /// Name of the invoked function.
-    pub function: String,
     /// Memory size it ran at.
     pub memory: MemorySize,
     /// Inner execution duration, ms.
@@ -125,34 +123,8 @@ impl Platform {
             .cost_usd(self.expected_duration_ms(profile, memory), memory)
     }
 
-    /// Runs one full invocation, optionally cold, and bills it.
-    pub fn invoke(
-        &self,
-        config: &FunctionConfig,
-        cold: bool,
-        rng: &mut RngStream,
-    ) -> InvocationRecord {
-        let mut record = self.invoke_unnamed(config, cold, rng);
-        record.function = config.name().to_string();
-        record
-    }
-
-    /// [`Platform::invoke`] with the record's `function` name left empty,
-    /// for callers that track functions by id and skip the name
-    /// allocation; every draw, duration, and billing figure is identical
-    /// to `invoke`.
-    pub fn invoke_unnamed(
-        &self,
-        config: &FunctionConfig,
-        cold: bool,
-        rng: &mut RngStream,
-    ) -> InvocationRecord {
-        self.invoke_unnamed_at(config, config.memory(), cold, rng)
-    }
-
-    /// [`Platform::invoke_unnamed`] running at `memory` instead of the
-    /// config's deployed size — equivalent to invoking
-    /// `config.with_memory(memory)` but without cloning the profile.
+    /// Runs one invocation of `config`'s profile at `memory`, optionally
+    /// cold, and bills it.
     ///
     /// It builds an [`ExecutionPlan`] per call, which costs more than the
     /// draws themselves; a caller that invokes the same (profile, size)
@@ -170,8 +142,7 @@ impl Platform {
 
     /// Runs one invocation of a plan built by [`Platform::plan`],
     /// optionally cold, and bills it at the plan's memory size. Only the
-    /// invocation's draws happen here. The record's `function` name is
-    /// left empty, as in [`Platform::invoke_unnamed`].
+    /// invocation's draws happen here.
     pub fn invoke_planned(
         &self,
         plan: &ExecutionPlan,
@@ -181,7 +152,6 @@ impl Platform {
         let outcome = plan.sample(cold, rng);
         let (billed_ms, cost_usd) = self.pricing.bill(outcome.duration_ms, plan.memory());
         InvocationRecord {
-            function: String::new(),
             memory: plan.memory(),
             duration_ms: outcome.duration_ms,
             billed_ms,
@@ -218,10 +188,10 @@ mod tests {
     #[test]
     fn invoke_bills_consistently() {
         let p = Platform::aws_like();
-        let cfg = FunctionConfig::new(profile(), MemorySize::MB_512);
+        let plan = p.plan(&profile(), MemorySize::MB_512);
         let mut rng = RngStream::from_seed(1, "inv");
-        let rec = p.invoke(&cfg, false, &mut rng);
-        assert_eq!(rec.function, "f");
+        let rec = p.invoke_planned(&plan, false, &mut rng);
+        assert_eq!(rec.memory, MemorySize::MB_512);
         assert!(rec.billed_ms >= rec.duration_ms);
         assert!(rec.cost_usd > 0.0);
         assert!(!rec.cold_start);
@@ -231,9 +201,9 @@ mod tests {
     #[test]
     fn cold_invocation_has_init_time() {
         let p = Platform::aws_like();
-        let cfg = FunctionConfig::new(profile(), MemorySize::MB_512);
+        let plan = p.plan(&profile(), MemorySize::MB_512);
         let mut rng = RngStream::from_seed(2, "inv-cold");
-        let rec = p.invoke(&cfg, true, &mut rng);
+        let rec = p.invoke_planned(&plan, true, &mut rng);
         assert!(rec.cold_start);
         assert!(rec.init_ms > 100.0);
     }

@@ -202,7 +202,6 @@ pub fn transfer_time_ms(payload_kb: f64, m: MemorySize, laws: &ScalingLaws) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sizeless_engine::dist::Distribution;
     use sizeless_engine::RngStream;
 
     #[test]

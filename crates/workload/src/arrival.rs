@@ -1,7 +1,7 @@
 //! Open-loop arrival processes.
 
 use serde::{Deserialize, Serialize};
-use sizeless_engine::dist::{Distribution, Exponential};
+use sizeless_engine::dist::Exponential;
 use sizeless_engine::RngStream;
 
 /// The arrival process shape.

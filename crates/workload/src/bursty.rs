@@ -8,7 +8,7 @@
 //! arrivals at a state-dependent rate.
 
 use serde::{Deserialize, Serialize};
-use sizeless_engine::dist::{Distribution, Exponential};
+use sizeless_engine::dist::Exponential;
 use sizeless_engine::RngStream;
 
 /// A two-state Markov-modulated Poisson arrival process.

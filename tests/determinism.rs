@@ -483,7 +483,7 @@ fn multi_region_specs() -> Vec<RegionSpec> {
 fn multi_region_shadow_and_finetune_are_bit_identical_across_thread_counts() {
     let platform = Platform::aws_like();
     let run = |threads: usize, remeasure: RemeasureKind, adaptation: AdaptationKind| {
-        let plane = ControlPlane::new(sizer_with_threads(&platform, threads), adaptation.build());
+        let plane = ControlPlane::new(sizer_with_threads(&platform, threads), adaptation);
         run_multi_region(
             &platform,
             &multi_region_specs(),

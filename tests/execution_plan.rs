@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use sizeless::engine::dist::{Distribution, LogNormal};
+use sizeless::engine::dist::LogNormal;
 use sizeless::engine::RngStream;
 use sizeless::funcgen::{FunctionGenerator, GeneratorConfig};
 use sizeless::platform::prelude::*;
@@ -181,7 +181,7 @@ mod reference {
         fixed + load_ms + init_cpu_ms
     }
 
-    pub fn invoke(
+    pub fn invoke_per_call(
         platform: &Platform,
         profile: &ResourceProfile,
         memory: MemorySize,
@@ -203,7 +203,6 @@ mod reference {
         let billed_s = billed_ms / 1000.0;
         let cost_usd = billed_s * memory.gb() * pricing.gb_second_usd + pricing.per_request_usd;
         InvocationRecord {
-            function: String::new(),
             memory,
             duration_ms: outcome.duration_ms,
             billed_ms,
@@ -251,7 +250,6 @@ fn usage_bits(u: &ResourceUsage) -> [u64; 27] {
 
 /// Asserts two records agree in every field, floats compared by bits.
 fn assert_same_record(got: &InvocationRecord, want: &InvocationRecord, what: &str) {
-    assert_eq!(got.function, want.function, "{what}: function");
     assert_eq!(got.memory, want.memory, "{what}: memory");
     assert_eq!(
         got.duration_ms.to_bits(),
@@ -290,7 +288,7 @@ fn check_plan(profile: &ResourceProfile, memory: MemorySize, colds: &[bool], see
     let mut per_call = planned.clone();
     for (i, &cold) in colds.iter().enumerate() {
         let got = platform.invoke_planned(&plan, cold, &mut planned);
-        let want = reference::invoke(&platform, profile, memory, cold, &mut per_call);
+        let want = reference::invoke_per_call(&platform, profile, memory, cold, &mut per_call);
         assert_same_record(
             &got,
             &want,
@@ -503,19 +501,19 @@ fn per_call_wrappers_match_the_reference() {
     let memory = MemorySize::MB_512;
     for seed in 0..8 {
         let profile = hand_built(seed);
-        let config = FunctionConfig::new(profile.clone(), memory);
+        // Deployed at another size: the wrapper must run at `memory`.
+        let config = FunctionConfig::new(profile.clone(), MemorySize::MB_128);
         let mut rng = RngStream::from_seed(seed, "wrappers");
         let mut reference_rng = rng.clone();
-        let got = platform.invoke(&config, seed % 2 == 0, &mut rng);
-        let mut want = reference::invoke(
+        let got = platform.invoke_unnamed_at(&config, memory, seed % 2 == 0, &mut rng);
+        let want = reference::invoke_per_call(
             &platform,
             &profile,
             memory,
             seed % 2 == 0,
             &mut reference_rng,
         );
-        want.function = profile.name().to_string();
-        assert_same_record(&got, &want, "invoke");
+        assert_same_record(&got, &want, "invoke_unnamed_at");
 
         let got = platform.execute(&profile, memory, &mut rng);
         let want = reference::execute(

@@ -1,14 +1,14 @@
 //! Behavioral parity of the refactored sizing service.
 //!
-//! PR 5 extracted the revert-to-base re-measurement behind the
-//! `RemeasurePolicy` trait and moved the artifact behind a shared control
-//! plane. A `SizingService` in its default configuration (frozen plane,
-//! `FullRevert`) must remain **behaviorally identical** to the
-//! pre-refactor state machine: same directives at the same points, same
-//! phase/current-size trajectory, same core tallies, for *any* ingest
-//! sequence. This file re-implements the pre-refactor loop verbatim as a
-//! reference model and property-tests the two against each other on
-//! randomized seeded traffic.
+//! The service once hard-coded its revert-to-base re-measurement; it now
+//! takes a `RemeasureKind` and decides against the artifact of a shared
+//! control plane. A `SizingService` in its default configuration (frozen
+//! plane, `RemeasureKind::FullRevert`) must remain **behaviorally
+//! identical** to the pre-refactor state machine: same directives at the
+//! same points, same phase/current-size trajectory, same core tallies, for
+//! *any* ingest sequence. This file re-implements the pre-refactor loop
+//! verbatim as a reference model and property-tests the two against each
+//! other on randomized seeded traffic.
 
 use proptest::prelude::*;
 use sizeless::core::dataset::DatasetConfig;
@@ -229,7 +229,7 @@ fn sample(rng: &mut RngStream, i: usize, scale: f64) -> InvocationSample {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Drive the refactored service (default: frozen plane + `FullRevert`)
+    /// Drive the refactored service (default: frozen plane + full revert)
     /// and the verbatim pre-refactor reference through the same randomized
     /// ingest sequence: every directive, every phase, every current size,
     /// and the pre-refactor tallies must agree at every single step.

@@ -237,7 +237,7 @@ fn faulted_multi_region_traces_reconcile_with_their_reports() {
             epochs: 4,
             batch: 1,
         });
-        let plane = ControlPlane::new(sizer.clone(), fine_tune.build());
+        let plane = ControlPlane::new(sizer.clone(), fine_tune);
         let opts = MultiRegionOptions {
             scheduler: SchedulerKind::WarmFirst,
             keepalive: KeepAliveKind::Adaptive,
