@@ -95,17 +95,6 @@ impl CaseStudyApp {
             CaseStudyApp::HelloRetail => (10.0, 600_000.0),
         }
     }
-
-    /// Months after training-dataset collection that the paper measured
-    /// this application (longevity context for the transfer experiment).
-    pub fn months_after_training(self) -> u32 {
-        match self {
-            CaseStudyApp::AirlineBooking => 2,
-            CaseStudyApp::FacialRecognition => 4,
-            CaseStudyApp::EventProcessing => 4,
-            CaseStudyApp::HelloRetail => 9,
-        }
-    }
 }
 
 impl fmt::Display for CaseStudyApp {
@@ -189,6 +178,5 @@ mod tests {
     fn workloads_match_the_paper() {
         assert_eq!(CaseStudyApp::AirlineBooking.workload(), (200.0, 600_000.0));
         assert_eq!(CaseStudyApp::FacialRecognition.workload(), (10.0, 300_000.0));
-        assert_eq!(CaseStudyApp::HelloRetail.months_after_training(), 9);
     }
 }

@@ -105,7 +105,8 @@ fn bench_single_train_step(c: &mut Criterion) {
 
 fn bench_one_grid_point(c: &mut Criterion) {
     // One grid-search evaluation: 3-fold CV of a small configuration — the
-    // unit of work the Table-2 search repeats 1296 times.
+    // unit of work the Table-2 search repeats 1296 times, each on a single
+    // worker.
     let (x, y) = dataset(120, 11, 5, 8);
     let cfg = NetworkConfig {
         hidden_layers: 2,
@@ -117,7 +118,7 @@ fn bench_one_grid_point(c: &mut Criterion) {
         ..NetworkConfig::default()
     };
     c.bench_function("neural/grid/one_point_3fold_cv_10epochs", |b| {
-        b.iter(|| cross_validate(&x, &y, &cfg, 3, 1, 5))
+        b.iter(|| cross_validate(&x, &y, &cfg, 3, 1, 5, 1))
     });
 }
 

@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the platform simulator: per-invocation execution
 //! cost for each workload archetype (planned per call, and from a plan
-//! built once), pricing, and cold-start sampling.
+//! built once), pricing, and a cold invocation from a plan.
 //! These bound the wall-clock cost of dataset generation (216 M executions
 //! at paper scale).
 
@@ -56,17 +56,13 @@ fn bench_pricing(c: &mut Criterion) {
 
 fn bench_cold_start(c: &mut Criterion) {
     let platform = Platform::aws_like();
-    let profile = MotivatingFunction::InvertMatrix.profile();
-    c.bench_function("platform/cold_start/sample", |b| {
+    let plan = platform.plan(
+        &MotivatingFunction::InvertMatrix.profile(),
+        MemorySize::MB_512,
+    );
+    c.bench_function("platform/cold_start/invoke_planned", |b| {
         let mut rng = RngStream::from_seed(3, "bench-cold");
-        b.iter(|| {
-            platform.cold_start_model().sample_init_ms(
-                &profile,
-                MemorySize::MB_512,
-                platform.laws(),
-                &mut rng,
-            )
-        })
+        b.iter(|| platform.invoke_planned(&plan, true, &mut rng))
     });
 }
 

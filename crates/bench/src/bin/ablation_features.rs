@@ -9,7 +9,7 @@
 use serde::Serialize;
 use sizeless_bench::{print_table, ExperimentContext};
 use sizeless_core::features::FeatureSet;
-use sizeless_core::model::evaluate_base_size_threaded;
+use sizeless_core::model::evaluate_base_size;
 use sizeless_platform::{MemorySize, Platform};
 
 #[derive(Serialize)]
@@ -32,8 +32,7 @@ fn main() {
     let mut out = Vec::new();
     for set in FeatureSet::ALL {
         eprintln!("[ablation] evaluating {set:?}");
-        let report =
-            evaluate_base_size_threaded(&ds, base, set, &net, 5, 1, ctx.seed, ctx.thread_count());
+        let report = evaluate_base_size(&ds, base, set, &net, 5, 1, ctx.seed, ctx.thread_count());
         out.push(FeatureSetScore {
             feature_set: format!("{set:?}"),
             dim: set.dim(),

@@ -12,7 +12,7 @@ use sizeless_bench::{print_table, ExperimentContext};
 use sizeless_core::dataset::TrainingDataset;
 use sizeless_core::features::{sfs_candidates, FeatureDef, FeatureKind};
 use sizeless_core::model::target_sizes;
-use sizeless_neural::{forward_selection_threaded, Matrix, NetworkConfig};
+use sizeless_neural::{forward_selection, Matrix, NetworkConfig};
 use sizeless_platform::{MemorySize, Platform};
 use sizeless_telemetry::Metric;
 
@@ -59,8 +59,7 @@ fn run_round(
     // of the same standardized columns.
     let (_, x) = sizeless_neural::StandardScaler::fit_transform(&x);
     let indices: Vec<usize> = (0..candidates.len()).collect();
-    let result =
-        forward_selection_threaded(&x, &y, &indices, cfg, 3, max_features, seed, threads);
+    let result = forward_selection(&x, &y, &indices, cfg, 3, max_features, seed, threads);
     Round {
         name: name.to_string(),
         feature_names: result.order.iter().map(|&i| candidates[i].name()).collect(),

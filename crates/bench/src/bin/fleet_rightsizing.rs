@@ -2,7 +2,8 @@
 //!
 //! The paper's Figure-2 design is an offline training phase plus an online
 //! recommendation phase. This binary runs the whole loop *inside* the
-//! cluster simulator: an offline-trained [`TrainedSizer`] is embedded as an
+//! cluster simulator: an offline-trained
+//! [`TrainedSizer`](sizeless_core::trainer::TrainedSizer) is embedded as an
 //! online [`SizingService`] in a fleet whose functions are all deployed at
 //! the paper's recommended 256 MB base size, and the fleet applies the
 //! service's resize directives at runtime (old-size warm instances drain,

@@ -14,7 +14,7 @@ use sizeless_bench::{print_table, ExperimentContext};
 use sizeless_core::dataset::TrainingDataset;
 use sizeless_core::features::FeatureSet;
 use sizeless_core::model::design_matrices;
-use sizeless_neural::{grid_search_threaded, GridSpec, StandardScaler};
+use sizeless_neural::{grid_search, GridSpec, StandardScaler};
 use sizeless_platform::{MemorySize, Platform};
 
 #[derive(Serialize)]
@@ -63,7 +63,7 @@ fn main() {
     let (x_raw, y) = design_matrices(&ds_small, MemorySize::MB_256, FeatureSet::F4);
     let (_, x) = StandardScaler::fit_transform(&x_raw);
     let search_start = std::time::Instant::now();
-    let points = grid_search_threaded(&x, &y, &spec, 3, ctx.seed, ctx.thread_count());
+    let points = grid_search(&x, &y, &spec, 3, ctx.seed, ctx.thread_count());
     eprintln!("[tab2] grid search took {:.2?}", search_start.elapsed());
 
     let to_best = |p: &sizeless_neural::GridPoint| BestConfig {

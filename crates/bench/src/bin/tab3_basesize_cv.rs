@@ -8,7 +8,7 @@
 use serde::Serialize;
 use sizeless_bench::{print_table, ExperimentContext};
 use sizeless_core::features::FeatureSet;
-use sizeless_core::model::evaluate_base_size_threaded;
+use sizeless_core::model::evaluate_base_size;
 use sizeless_platform::{MemorySize, Platform};
 
 #[derive(Serialize)]
@@ -34,7 +34,7 @@ fn main() {
 
     let mut rows_out = Vec::new();
     for base in MemorySize::STANDARD {
-        let report = evaluate_base_size_threaded(
+        let report = evaluate_base_size(
             &ds,
             base,
             FeatureSet::F4,

@@ -8,8 +8,7 @@
 //!   quick runs (default 5; use `--scale 1` for the paper-scale run);
 //! * `--out <dir>` — results directory (default `results/`);
 //! * `--threads <usize>` — worker threads for measurement and training
-//!   fan-outs (default: the `SIZELESS_THREADS` environment variable if
-//!   set, else the machine's available parallelism). Results are
+//!   fan-outs (default: the machine's available parallelism). Results are
 //!   bit-identical for every thread count — the knob trades wall-clock
 //!   time only;
 //! * `--artifact <path>` — persist the trained sizer artifact and reuse it
@@ -35,7 +34,7 @@ use sizeless_core::trainer::{TrainedSizer, Trainer, TrainerConfig};
 use sizeless_fleet::FaultPlan;
 use sizeless_neural::NetworkConfig;
 use sizeless_platform::{MemorySize, Platform};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Parsed command-line context shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -46,7 +45,7 @@ pub struct ExperimentContext {
     pub scale: f64,
     /// Output directory for JSON results.
     pub out_dir: PathBuf,
-    /// Worker threads (`0` = auto: `SIZELESS_THREADS` or all cores).
+    /// Worker threads (`0` = auto: all cores).
     pub threads: usize,
     /// Trained-artifact file to reuse/persist across runs, if given.
     pub artifact: Option<PathBuf>,
@@ -72,8 +71,7 @@ Shared experiment flags:
   --out <dir>        directory JSON results are written to     (default results/)
   --threads <usize>  worker threads for measurement/training
                      fan-outs; results are bit-identical for
-                     every thread count                         (default: SIZELESS_THREADS
-                                                                or all cores)
+                     every thread count                         (default: all cores)
   --artifact <path>  persist the trained sizer artifact to this
                      file and reuse it on later runs; artifacts
                      are versioned against the training
@@ -226,12 +224,12 @@ impl ExperimentContext {
     }
 
     /// The effective worker-thread count: `--threads` if given, otherwise
-    /// [`worker_threads`] (which honors `SIZELESS_THREADS`).
+    /// the machine's available parallelism.
     pub fn thread_count(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
-            worker_threads()
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         }
     }
 
@@ -266,7 +264,8 @@ impl ExperimentContext {
 
     /// Loads the cached training dataset for this (seed, scale) or
     /// generates and caches it. All experiment binaries share this cache so
-    /// the expensive offline phase runs once.
+    /// the expensive offline phase runs once, at any `--threads`: the cache
+    /// stores and matches the configuration's [`DatasetConfig::identity`].
     pub fn dataset(&self, platform: &Platform) -> TrainingDataset {
         self.dataset_with(platform, &self.dataset_config())
     }
@@ -275,13 +274,13 @@ impl ExperimentContext {
     /// binaries that need a different dataset shape (e.g. a larger floor)
     /// while sharing the cache-by-shape mechanism.
     pub fn dataset_with(&self, platform: &Platform, cfg: &DatasetConfig) -> TrainingDataset {
-        let cfg = *cfg;
+        let identity = cfg.identity();
         let cache = self.out_dir.join(format!(
             "dataset-n{}-d{}-seed{}.json",
             cfg.function_count, cfg.experiment.duration_ms as u64, self.seed
         ));
         if let Ok(ds) = TrainingDataset::load(&cache) {
-            if ds.config == cfg {
+            if ds.config == identity {
                 eprintln!("[cache] loaded {}", cache.display());
                 return ds;
             }
@@ -291,7 +290,10 @@ impl ExperimentContext {
             cfg.function_count,
             cfg.experiment.duration_ms / 1000.0
         );
-        let ds = TrainingDataset::generate(platform, &cfg);
+        // Generate on `cfg`'s workers (the identity has none), then record
+        // the identity so any thread count matches this cache.
+        let mut ds = TrainingDataset::generate(platform, cfg);
+        ds.config = identity;
         std::fs::create_dir_all(&self.out_dir).expect("create results dir");
         ds.save(&cache).expect("cache dataset");
         ds
@@ -409,13 +411,6 @@ impl ExperimentContext {
     }
 }
 
-/// Number of worker threads: the `SIZELESS_THREADS` environment variable
-/// if set, else available parallelism (see
-/// [`sizeless_neural::parallel::default_threads`]).
-pub fn worker_threads() -> usize {
-    sizeless_neural::parallel::default_threads()
-}
-
 /// Prints an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -449,28 +444,27 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// The workspace results directory.
-pub fn results_dir() -> &'static Path {
-    Path::new("results")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn dataset_config_scales_down() {
-        let ctx = ExperimentContext {
+    fn context(scale: f64, out_dir: PathBuf) -> ExperimentContext {
+        ExperimentContext {
             seed: 0,
-            scale: 10.0,
-            out_dir: PathBuf::from("/tmp"),
+            scale,
+            out_dir,
             threads: 0,
             artifact: None,
             trace: None,
             metrics: None,
             faults: None,
             fault_seed: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn dataset_config_scales_down() {
+        let ctx = context(10.0, PathBuf::from("/tmp"));
         let cfg = ctx.dataset_config();
         assert_eq!(cfg.function_count, 200);
         assert_eq!(cfg.experiment.duration_ms, 60_000.0);
@@ -478,21 +472,45 @@ mod tests {
 
     #[test]
     fn paper_scale_matches_paper() {
-        let ctx = ExperimentContext {
-            seed: 0,
-            scale: 1.0,
-            out_dir: PathBuf::from("/tmp"),
-            threads: 0,
-            artifact: None,
-            trace: None,
-            metrics: None,
-            faults: None,
-            fault_seed: 0,
-        };
+        let ctx = context(1.0, PathBuf::from("/tmp"));
         let cfg = ctx.dataset_config();
         assert_eq!(cfg.function_count, 2000);
         assert_eq!(cfg.experiment.duration_ms, 600_000.0);
         assert_eq!(ctx.network_config().epochs, 200);
+    }
+
+    /// Worker threads are not part of a dataset's identity: a cache written
+    /// at one `--threads` is reused, byte for byte, at another.
+    #[test]
+    fn dataset_cache_is_reused_across_thread_counts() {
+        let out_dir = std::env::temp_dir().join(format!(
+            "sizeless-dataset-cache-threads-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&out_dir);
+        let ctx = context(50.0, out_dir.clone());
+        let platform = Platform::aws_like();
+        let mut cfg = DatasetConfig::tiny(4);
+
+        cfg.threads = 2;
+        let written = ctx.dataset_with(&platform, &cfg);
+        let cache: Vec<PathBuf> = std::fs::read_dir(&out_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(cache.len(), 1, "one cache file: {cache:?}");
+        let before = std::fs::read(&cache[0]).unwrap();
+
+        cfg.threads = 1;
+        let reused = ctx.dataset_with(&platform, &cfg);
+        let after = std::fs::read(&cache[0]).unwrap();
+        let _ = std::fs::remove_dir_all(&out_dir);
+
+        assert!(
+            before == after,
+            "the cache was regenerated at another thread count"
+        );
+        assert_eq!(written.records, reused.records);
     }
 
     #[test]

@@ -74,6 +74,17 @@ impl DatasetConfig {
             threads: 4,
         }
     }
+
+    /// The configuration as a dataset's identity: the worker-thread count
+    /// normalized to 0. Generation is bit-identical for every thread count,
+    /// so two configurations that differ only in `threads` describe the same
+    /// dataset (and train the same artifact).
+    pub fn identity(&self) -> DatasetConfig {
+        DatasetConfig {
+            threads: 0,
+            ..*self
+        }
+    }
 }
 
 impl Default for DatasetConfig {

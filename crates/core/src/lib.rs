@@ -25,19 +25,18 @@
 //! telemetry incrementally, aggregate streaming windows (bit-identical to
 //! the batch aggregation), cache recommendations, and use [`drift`] plus a
 //! [`RemeasureKind`] (full revert or shadow sampling) to decide when and
-//! how a function must be re-measured and re-recommended. [`pipeline`]
-//! keeps the original one-shot batch façade on top of the split.
+//! how a function must be re-measured and re-recommended.
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use sizeless_core::pipeline::{PipelineConfig, SizelessPipeline};
-//! use sizeless_core::optimizer::Tradeoff;
+//! use sizeless_core::trainer::{Trainer, TrainerConfig};
+//! use sizeless_platform::Platform;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut cfg = PipelineConfig::default();
+//! let mut cfg = TrainerConfig::default();
 //! cfg.dataset.function_count = 200; // small demo run
-//! let pipeline = SizelessPipeline::train(&cfg)?;
+//! let sizer = Trainer::new(cfg).train(&Platform::aws_like())?;
 //! # Ok(())
 //! # }
 //! ```
@@ -46,12 +45,10 @@ pub mod baselines;
 pub mod dataset;
 pub mod drift;
 pub mod error;
-pub mod export;
 pub mod features;
 pub mod interpolate;
 pub mod model;
 pub mod optimizer;
-pub mod pipeline;
 pub mod report;
 pub mod service;
 pub mod trainer;
@@ -60,12 +57,10 @@ pub use baselines::{BaselineOutcome, CoseOptimizer, PowerTuning};
 pub use dataset::{DatasetConfig, FunctionRecord, TrainingDataset};
 pub use error::CoreError;
 pub use drift::{detect_drift, DriftConfig, DriftReport};
-pub use export::export_csv;
 pub use features::{FeatureDef, FeatureKind, FeatureSet};
 pub use interpolate::{optimize_full_grid, TimeInterpolant};
 pub use model::{OnlineObservation, PredictedTimes, SizelessModel};
 pub use optimizer::{MemoryOptimizer, OptimizationOutcome, Tradeoff};
-pub use pipeline::{PipelineConfig, SizelessPipeline};
 pub use report::render_report;
 pub use service::{
     AdaptationKind, ControlPlane, DirectiveReason, FineTuneConfig, FnPhase, PlaneStats,

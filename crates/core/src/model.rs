@@ -10,11 +10,10 @@ use crate::dataset::TrainingDataset;
 use crate::error::CoreError;
 use crate::features::FeatureSet;
 use serde::{Deserialize, Serialize};
-use sizeless_neural::crossval::{CrossValReport, KFold};
-use sizeless_neural::parallel::{default_threads, parallel_map};
+use sizeless_neural::crossval::{pooled_report, CrossValReport, KFold};
+use sizeless_neural::parallel::parallel_map;
 use sizeless_neural::{Matrix, NetworkConfig, NeuralNetwork, StandardScaler};
 use sizeless_platform::MemorySize;
-use sizeless_stats::regression;
 use sizeless_telemetry::MetricVector;
 use std::collections::BTreeMap;
 
@@ -248,37 +247,8 @@ pub fn design_matrices(
 }
 
 /// Cross-validates the model for one base size with per-fold feature
-/// scaling — the evaluation behind Table 3.
-///
-/// Folds fan out over [`default_threads`] workers; the report is
-/// bit-identical for every thread count (see
-/// [`evaluate_base_size_threaded`]).
-///
-/// # Panics
-///
-/// Panics if the dataset has fewer rows than `k` or `iterations` is zero.
-pub fn evaluate_base_size(
-    dataset: &TrainingDataset,
-    base: MemorySize,
-    feature_set: FeatureSet,
-    config: &NetworkConfig,
-    k: usize,
-    iterations: usize,
-    seed: u64,
-) -> CrossValReport {
-    evaluate_base_size_threaded(
-        dataset,
-        base,
-        feature_set,
-        config,
-        k,
-        iterations,
-        seed,
-        default_threads(),
-    )
-}
-
-/// [`evaluate_base_size`] with an explicit worker-thread count.
+/// scaling — the evaluation behind Table 3 — with the folds fanned out over
+/// `threads` workers.
 ///
 /// Every fold derives its seed from `(seed, iteration, fold)` and fits its
 /// own scaler on the training split only; held-out predictions are pooled
@@ -290,7 +260,7 @@ pub fn evaluate_base_size(
 /// Panics if the dataset has fewer rows than `k`, `iterations` is zero, or
 /// `threads` is zero.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_base_size_threaded(
+pub fn evaluate_base_size(
     dataset: &TrainingDataset,
     base: MemorySize,
     feature_set: FeatureSet,
@@ -327,24 +297,7 @@ pub fn evaluate_base_size_threaded(
         (y_test.data().to_vec(), clamped)
     });
 
-    let mut all_true = Vec::new();
-    let mut all_pred = Vec::new();
-    for (t, p) in fold_results {
-        all_true.extend_from_slice(&t);
-        all_pred.extend_from_slice(&p);
-    }
-
-    CrossValReport {
-        // lint: allow(panic002) reason="every fold contributes at least one prediction"
-        mse: regression::mse(&all_true, &all_pred).expect("non-empty"),
-        // lint: allow(panic002) reason="ratio targets are clamped to at least 0.01 at generation, so no MAPE denominator is zero"
-        mape: regression::mape(&all_true, &all_pred).expect("non-zero ratios"),
-        // lint: allow(panic002) reason="generated ratio targets vary across functions, so variance is non-zero"
-        r_squared: regression::r_squared(&all_true, &all_pred).expect("varying ratios"),
-        explained_variance: regression::explained_variance(&all_true, &all_pred)
-            // lint: allow(panic002) reason="generated ratio targets vary across functions, so variance is non-zero"
-            .expect("varying ratios"),
-    }
+    pooled_report(fold_results)
 }
 
 #[cfg(test)]
@@ -436,6 +389,7 @@ mod tests {
             4,
             1,
             3,
+            2,
         );
         assert!(report.mse.is_finite());
         assert!(report.mape.is_finite() && report.mape > 0.0);

@@ -6,7 +6,7 @@
 //! precedent): predicted times, per-size scores, the decision, and the
 //! expected impact of switching from the current deployment.
 
-use crate::pipeline::Recommendation;
+use crate::service::Recommendation;
 use sizeless_platform::MemorySize;
 use std::fmt::Write as _;
 

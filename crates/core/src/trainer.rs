@@ -23,9 +23,6 @@ use sizeless_telemetry::MetricVector;
 use std::path::Path;
 
 /// Configuration of the offline phase.
-///
-/// (Historically named `PipelineConfig`; `crate::pipeline` re-exports it
-/// under that name for the pre-split API.)
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainerConfig {
     /// Offline dataset generation.
@@ -60,16 +57,19 @@ impl TrainerConfig {
     /// A stable hash of everything that determines the trained artifact:
     /// dataset shape and seeds, network hyperparameters, feature set, base
     /// size, tradeoff, and training seed. Worker-thread counts are
-    /// normalized out — the measurement fan-out is bit-identical for every
-    /// thread count, so `--threads` must not invalidate artifacts.
+    /// normalized out ([`DatasetConfig::identity`]) — the measurement
+    /// fan-out is bit-identical for every thread count, so `--threads` must
+    /// not invalidate artifacts.
     ///
     /// [`TrainedSizer::save`] embeds this hash and
     /// [`TrainedSizer::load_expecting`] rejects artifacts whose hash
     /// differs, so a persisted artifact can never silently be reused under
     /// a configuration it was not trained for.
     pub fn artifact_hash(&self) -> u64 {
-        let mut canonical = *self;
-        canonical.dataset.threads = 0;
+        let canonical = TrainerConfig {
+            dataset: self.dataset.identity(),
+            ..*self
+        };
         // lint: allow(panic002) reason="TrainerConfig is plain old data; serializing it to JSON cannot fail"
         let json = serde_json::to_string(&canonical).expect("config serializes");
         // FNV-1a (the engine's stream-labeling hash): stable across
@@ -248,6 +248,7 @@ impl TrainedSizer {
 mod tests {
     use super::*;
     use sizeless_neural::NetworkConfig;
+    use sizeless_workload::{run_experiment, ExperimentConfig};
 
     fn quick_cfg() -> TrainerConfig {
         TrainerConfig {
@@ -270,6 +271,56 @@ mod tests {
         assert_eq!(sizer.base(), MemorySize::MB_256);
         assert_eq!(sizer.model().feature_set(), FeatureSet::F4);
         assert_eq!(sizer.optimizer().tradeoff().value(), 0.75);
+    }
+
+    #[test]
+    fn recommends_from_base_size_monitoring() {
+        let platform = Platform::aws_like();
+        let cfg = TrainerConfig {
+            dataset: DatasetConfig::tiny(30),
+            network: NetworkConfig {
+                hidden_layers: 2,
+                neurons: 32,
+                epochs: 80,
+                l2: 0.0001,
+                ..NetworkConfig::default()
+            },
+            ..TrainerConfig::default()
+        };
+        let sizer = Trainer::new(cfg).train(&platform).unwrap();
+
+        // Monitor a CPU-bound function at the base size in "production".
+        let profile = sizeless_platform::ResourceProfile::builder("prod-fn")
+            .stage(sizeless_platform::Stage::cpu("work", 120.0))
+            .build();
+        let m = run_experiment(
+            &platform,
+            &profile,
+            MemorySize::MB_256,
+            &ExperimentConfig {
+                duration_ms: 6_000.0,
+                rps: 15.0,
+                seed: 77,
+            },
+        );
+        let rec = sizer.recommend(&m.metrics);
+        // A purely CPU-bound function should not be told to stay tiny.
+        assert!(
+            rec.memory_size() >= MemorySize::MB_256,
+            "{}",
+            rec.memory_size()
+        );
+        assert_eq!(rec.predicted.base(), MemorySize::MB_256);
+        assert_eq!(rec.outcome.scores.len(), 6);
+    }
+
+    #[test]
+    fn default_config_matches_paper_choices() {
+        let cfg = TrainerConfig::default();
+        assert_eq!(cfg.base_size, MemorySize::MB_256);
+        assert_eq!(cfg.feature_set, FeatureSet::F4);
+        assert_eq!(cfg.tradeoff.value(), 0.75);
+        assert_eq!(cfg.dataset.function_count, 2000);
     }
 
     #[test]

@@ -102,16 +102,6 @@ impl<S, E: SimEvent<S>> Simulation<S, E> {
         self.clock
     }
 
-    /// Number of events executed so far.
-    pub fn executed_events(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// A snapshot of the run counters: events executed, events ever
     /// scheduled, and the queue-depth high-water mark.
     pub fn stats(&self) -> SimStats {
@@ -248,7 +238,7 @@ mod tests {
         sim.run_to_completion(&mut log);
         assert_eq!(log, vec![2, 5]);
         assert_eq!(sim.now().as_millis(), 5.0);
-        assert_eq!(sim.executed_events(), 2);
+        assert_eq!(sim.stats().executed, 2);
     }
 
     #[test]
@@ -261,7 +251,8 @@ mod tests {
         let ran = sim.run_until(at(4.0), &mut log);
         assert_eq!(ran, 4);
         assert_eq!(log, vec![1, 2, 3, 4]);
-        assert_eq!(sim.pending_events(), 6);
+        let stats = sim.stats();
+        assert_eq!(stats.scheduled - stats.executed, 6);
         assert_eq!(sim.now().as_millis(), 4.0);
     }
 

@@ -88,15 +88,6 @@ impl SimDuration {
         Self::from_millis(s * 1000.0)
     }
 
-    /// Creates a span of `m` minutes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is negative or NaN.
-    pub fn from_mins(m: f64) -> Self {
-        Self::from_millis(m * 60_000.0)
-    }
-
     /// The span in milliseconds.
     pub fn as_millis(self) -> f64 {
         self.0
@@ -184,7 +175,6 @@ mod tests {
     fn seconds_conversion() {
         assert_eq!(SimTime::from_secs(2.0).as_millis(), 2000.0);
         assert_eq!(SimDuration::from_secs(1.5).as_millis(), 1500.0);
-        assert_eq!(SimDuration::from_mins(10.0).as_secs(), 600.0);
     }
 
     #[test]

@@ -406,7 +406,6 @@ pub struct Fleet<S: TraceSink = NullSink> {
     seed: u64,
     faults: Option<FaultState>,
     retry: Option<RetryState>,
-    timeout_ms: Option<f64>,
     /// Pending settle records referenced by [`FleetEvent::Settle`] slots.
     settles: SettleSlab,
     /// Registered workload-shift profiles referenced by
@@ -478,7 +477,6 @@ impl Fleet {
             seed: config.seed,
             faults: None,
             retry: None,
-            timeout_ms: None,
             settles: SettleSlab::default(),
             shifts: Vec::new(),
             queue: config.queue,
@@ -514,7 +512,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
             seed: self.seed,
             faults: self.faults,
             retry: self.retry,
-            timeout_ms: self.timeout_ms,
             settles: self.settles,
             shifts: self.shifts,
             queue: self.queue,
@@ -607,22 +604,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
             rng: RngStream::from_seed(self.seed, "fleet").derive("retry"),
             pending: 0,
         });
-        self
-    }
-
-    /// Caps every attempt's latency: an attempt whose settle would land
-    /// past `timeout_ms` fails with a timeout at the cap instead
-    /// (retryable like any other fault).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the timeout is strictly positive and finite.
-    pub fn with_timeout(mut self, timeout_ms: f64) -> Self {
-        assert!(
-            timeout_ms > 0.0 && timeout_ms.is_finite(),
-            "timeout must be positive"
-        );
-        self.timeout_ms = Some(timeout_ms);
         self
     }
 
@@ -812,12 +793,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 }
             }
         }
-        if let Some(tmo) = self.timeout_ms {
-            let planned = planned_fail.map_or(latency_ms, |(_, at)| at);
-            if tmo < planned {
-                planned_fail = Some((FaultKind::Timeout, tmo));
-            }
-        }
         // The monitor's wrapper overhead occupies the instance past the
         // user-visible completion; the sample itself is written (ingested)
         // when the instance is released. A failing attempt occupies its
@@ -857,7 +832,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
 
     /// Every attempt settles here: a host crash since dispatch overrides
     /// everything (the placement's generation was pruned), then a planned
-    /// transient fault or timeout, and only then normal completion.
+    /// transient fault, and only then normal completion.
     fn on_settle(
         &mut self,
         sim: &mut FleetSim<S>,
@@ -1969,25 +1944,5 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn timeouts_cap_slow_invocations() {
-        let platform = Platform::aws_like();
-        let default_ttl = platform.cold_start_model().idle_ttl_ms;
-        let fleet = Fleet::new(
-            &platform,
-            &config(),
-            &functions(),
-            SchedulerKind::WarmFirst.build(),
-            KeepAliveKind::FixedTtl.build(2, default_ttl),
-        )
-        .with_timeout(5.0);
-        let report = fleet.run();
-        // Both profiles run well past 5 ms, so every attempt times out.
-        assert_eq!(report.counters.completed, 0);
-        assert!(report.counters.failed > 0);
-        assert!(report.counters.is_conserved());
-        assert_eq!(report.counters.in_flight, 0);
     }
 }

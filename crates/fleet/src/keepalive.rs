@@ -137,7 +137,7 @@ impl FnHistory {
 /// function's recently observed inter-arrival gaps — but only when that
 /// is cheaper than re-initializing.
 ///
-/// Until a function has [`MIN_OBSERVATIONS`] gaps, the policy stays
+/// Until a function has `MIN_OBSERVATIONS` (8) gaps, the policy stays
 /// conservative and uses `max_ttl_ms` (the fixed-TTL behaviour). After
 /// that the candidate window is `margin × q-quantile(gaps)`, clamped to
 /// `[min_ttl_ms, max_ttl_ms]`. A cost check then compares the candidate

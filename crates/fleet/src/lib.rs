@@ -108,7 +108,7 @@ pub mod prelude {
         LeastLoaded, RandomFit, RoundRobin, Scheduler, SchedulerKind, WarmFirst,
     };
     pub use crate::stats::{FaultSummary, FleetReport, RightsizingReport};
-    pub use crate::sweep::{default_threads, run_fleet_sweep, sweep, FleetJob};
+    pub use crate::sweep::{run_fleet_sweep, sweep, FleetJob};
 }
 
 pub use faults::{FaultPlan, RetryKind};
@@ -121,9 +121,8 @@ pub use keepalive::{AdaptiveKeepAlive, FixedTtl, KeepAliveKind, KeepAlivePolicy,
 pub use limits::{ConcurrencyLimits, ThrottleReason};
 pub use region::{
     run_multi_region, run_multi_region_faulted, run_multi_region_faulted_traced,
-    run_multi_region_traced, MultiRegionOptions, MultiRegionReport, RegionReport, RegionSpec,
-    WorkloadShift,
+    MultiRegionOptions, MultiRegionReport, RegionReport, RegionSpec, WorkloadShift,
 };
 pub use scheduler::{LeastLoaded, RandomFit, RoundRobin, Scheduler, SchedulerKind, WarmFirst};
 pub use stats::{FaultSummary, FleetReport, RightsizingReport};
-pub use sweep::{default_threads, run_fleet_sweep, sweep, FleetJob};
+pub use sweep::{run_fleet_sweep, sweep, FleetJob};

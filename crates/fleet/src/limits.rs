@@ -51,11 +51,6 @@ impl ConcurrencyLimits {
         }
     }
 
-    /// No caps at all (the single-function harness semantics).
-    pub fn unlimited(functions: usize) -> Self {
-        Self::new(functions, None, None)
-    }
-
     /// Reserves one slot for an invocation of `fn_id`, or reports which
     /// limit rejected it.
     pub fn try_acquire(&mut self, fn_id: usize) -> Result<(), ThrottleReason> {
@@ -142,7 +137,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "release without acquire")]
     fn unbalanced_release_panics() {
-        let mut l = ConcurrencyLimits::unlimited(1);
+        let mut l = ConcurrencyLimits::new(1, None, None);
         l.release(0);
     }
 

@@ -5,8 +5,9 @@
 //! arrival mix — and, under an adapting plane, observations from one region
 //! improve recommendations in all of them. [`run_multi_region`] is that
 //! topology inside the simulator: N [`Fleet`]s, each with its own hosts,
-//! arrival streams, and per-region [`SizingService`] handle, all created
-//! from one shared [`ControlPlane`].
+//! arrival streams, and per-region
+//! [`SizingService`](sizeless_core::service::SizingService) handle, all
+//! created from one shared [`ControlPlane`].
 //!
 //! The regions do **not** run sequentially. Each fleet is primed onto its
 //! own [`Simulation`], and a merged driver repeatedly advances whichever
@@ -156,7 +157,7 @@ pub fn run_multi_region(
     plane: &ControlPlane,
     opts: &MultiRegionOptions,
 ) -> MultiRegionReport {
-    run_multi_region_traced(platform, regions, plane, opts, |_| NullSink).0
+    run_multi_region_inner(platform, regions, plane, opts, None, |_| NullSink).0
 }
 
 /// [`run_multi_region`] under a [`FaultPlan`]: every region's fleet gets
@@ -182,9 +183,13 @@ pub fn run_multi_region_faulted(
     run_multi_region_faulted_traced(platform, regions, plane, opts, plan, retry, |_| NullSink).0
 }
 
-/// [`run_multi_region_faulted`] with tracing — see
-/// [`run_multi_region_traced`] for the sink contract. Failovers appear as
-/// [`TraceEvent::RegionFailover`] in the *receiving* region's trace.
+/// [`run_multi_region_faulted`] with tracing: `make_sink` builds one sink
+/// per region (called with the region index, in spec order), and the
+/// merged driver additionally records a [`TraceEvent::RegionHandoff`] into
+/// the incoming region's sink whenever it switches which region it
+/// advances. Failovers appear as [`TraceEvent::RegionFailover`] in the
+/// *receiving* region's trace. Returns the per-region sinks alongside the
+/// report, in spec order.
 ///
 /// # Panics
 ///
@@ -203,29 +208,6 @@ where
     F: FnMut(usize) -> S,
 {
     run_multi_region_inner(platform, regions, plane, opts, Some((plan, retry)), make_sink)
-}
-
-/// [`run_multi_region`] with tracing: `make_sink` builds one sink per
-/// region (called with the region index, in spec order), and the merged
-/// driver additionally records a [`TraceEvent::RegionHandoff`] into the
-/// incoming region's sink whenever it switches which region it advances.
-/// Returns the per-region sinks alongside the report, in spec order.
-///
-/// # Panics
-///
-/// Panics if `regions` is empty or a shift names an out-of-range function.
-pub fn run_multi_region_traced<S, F>(
-    platform: &Platform,
-    regions: &[RegionSpec],
-    plane: &ControlPlane,
-    opts: &MultiRegionOptions,
-    make_sink: F,
-) -> (MultiRegionReport, Vec<S>)
-where
-    S: TraceSink + 'static,
-    F: FnMut(usize) -> S,
-{
-    run_multi_region_inner(platform, regions, plane, opts, None, make_sink)
 }
 
 fn run_multi_region_inner<S, F>(
@@ -536,14 +518,23 @@ mod tests {
         let platform = Platform::aws_like();
         let sizer = quick_sizer();
         let plane = || ControlPlane::frozen(sizer.clone());
-        let (traced, sinks) = run_multi_region_traced(
+        let (traced, sinks) = run_multi_region_faulted_traced(
             &platform,
             &regions(),
             &plane(),
             &options(),
+            &FaultPlan::none(),
+            RetryKind::None,
             |_| MemorySink::new(),
         );
-        let untraced = run_multi_region(&platform, &regions(), &plane(), &options());
+        let untraced = run_multi_region_faulted(
+            &platform,
+            &regions(),
+            &plane(),
+            &options(),
+            &FaultPlan::none(),
+            RetryKind::None,
+        );
         assert_eq!(traced, untraced, "tracing must not perturb the merged run");
         assert_eq!(sinks.len(), 2);
         for (i, sink) in sinks.iter().enumerate() {

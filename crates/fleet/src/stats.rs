@@ -73,16 +73,6 @@ pub struct FleetReport {
     pub rightsizing: Option<RightsizingReport>,
 }
 
-impl FleetReport {
-    /// Mean of the per-host utilization fractions.
-    pub fn mean_host_utilization(&self) -> f64 {
-        if self.host_utilization.is_empty() {
-            return 0.0;
-        }
-        self.host_utilization.iter().sum::<f64>() / self.host_utilization.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +107,6 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: FleetReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-        assert!((report.mean_host_utilization() - 0.375).abs() < 1e-12);
     }
 
     #[test]

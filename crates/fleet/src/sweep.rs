@@ -3,9 +3,9 @@
 //!
 //! Policy and knob sweeps run dozens of *independent* fleet simulations —
 //! every cell of a scheduler × keep-alive × seed grid is its own
-//! [`Fleet`] with its own RNG root derived from its own config. That
-//! makes the fan-out embarrassingly parallel under the same discipline
-//! the training stack already uses
+//! [`Fleet`](crate::Fleet) with its own RNG root derived from its own
+//! config. That makes the fan-out embarrassingly parallel under the same
+//! discipline the training stack already uses
 //! ([`sizeless_neural::parallel`]): each job derives all
 //! randomness from its own `(seed, name)` streams and writes only its own
 //! indexed result slot, so the collected output is **byte-identical at
@@ -22,7 +22,6 @@ use crate::keepalive::KeepAliveKind;
 use crate::scheduler::SchedulerKind;
 use crate::stats::FleetReport;
 use sizeless_neural::parallel::parallel_map;
-pub use sizeless_neural::parallel::default_threads;
 use sizeless_platform::Platform;
 
 /// Runs `job(0..n)` across `threads` workers and returns the results in

@@ -14,8 +14,9 @@ use sizeless_core::service::{ControlPlane, RemeasureKind, ServiceConfig};
 use sizeless_core::trainer::{TrainedSizer, Trainer, TrainerConfig};
 use sizeless_engine::QueueKind;
 use sizeless_fleet::{
-    run_multi_region_traced, sweep, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind,
-    MultiRegionOptions, RegionSpec, SchedulerKind,
+    run_multi_region_faulted, run_multi_region_faulted_traced, sweep, FaultPlan, FleetArrival,
+    FleetConfig, FleetFunction, KeepAliveKind, MultiRegionOptions, RegionSpec, RetryKind,
+    SchedulerKind,
 };
 use sizeless_obs::MemorySink;
 use sizeless_platform::{
@@ -71,7 +72,7 @@ fn options() -> MultiRegionOptions {
 
 /// One closed-loop run on the given queue and seed, rendered to the exact
 /// bytes the experiment binaries persist: pretty-printed report JSON and
-/// the JSONL trace export.
+/// the JSONL trace export. The untraced run must report the same bytes.
 fn rightsized_run(
     platform: &Platform,
     sizer: &TrainedSizer,
@@ -86,14 +87,35 @@ fn rightsized_run(
         functions: functions(),
         shifts: vec![],
     };
-    let plane = ControlPlane::frozen(sizer.clone());
-    let (report, sinks) =
-        run_multi_region_traced(platform, &[region], &plane, &options(), |_| MemorySink::new());
+    let regions = [region];
+    let plan = FaultPlan::none();
+    let (report, sinks) = run_multi_region_faulted_traced(
+        platform,
+        &regions,
+        &ControlPlane::frozen(sizer.clone()),
+        &options(),
+        &plan,
+        RetryKind::None,
+        |_| MemorySink::new(),
+    );
+    let untraced = run_multi_region_faulted(
+        platform,
+        &regions,
+        &ControlPlane::frozen(sizer.clone()),
+        &options(),
+        &plan,
+        RetryKind::None,
+    );
     let fleet = &report.regions[0].report;
     assert!(fleet.rightsizing.is_some(), "closed loop must rightsize");
     assert!(fleet.counters.is_conserved(), "conservation violated");
     assert!(!sinks[0].is_empty(), "traced run recorded nothing");
     let report_json = serde_json::to_string_pretty(&report).expect("report serializes");
+    assert_eq!(
+        report_json,
+        serde_json::to_string_pretty(&untraced).expect("report serializes"),
+        "tracing perturbed the run"
+    );
     (report_json, sinks[0].to_jsonl())
 }
 

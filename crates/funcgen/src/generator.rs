@@ -78,11 +78,6 @@ impl FunctionGenerator {
         &self.config
     }
 
-    /// Number of functions generated so far.
-    pub fn generated_count(&self) -> usize {
-        self.next_id
-    }
-
     /// Generates one new, never-seen-before function.
     ///
     /// # Panics
@@ -171,7 +166,6 @@ mod tests {
         let mut rng = RngStream::from_seed(1, "gen");
         let fns = g.generate_many(200, &mut rng);
         assert_eq!(fns.len(), 200);
-        assert_eq!(g.generated_count(), 200);
         let names: HashSet<&str> = fns.iter().map(|f| f.profile.name()).collect();
         assert_eq!(names.len(), 200);
     }

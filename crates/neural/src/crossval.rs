@@ -8,7 +8,7 @@
 
 use crate::matrix::Matrix;
 use crate::network::{NetworkConfig, NeuralNetwork};
-use crate::parallel::{default_threads, parallel_map};
+use crate::parallel::parallel_map;
 use crate::scratch::Scratch;
 use serde::{Deserialize, Serialize};
 use sizeless_engine::RngStream;
@@ -77,39 +77,20 @@ pub struct CrossValReport {
 }
 
 /// Runs `iterations × k`-fold cross-validation of a network on `(x, y)`,
-/// fanning the folds out over [`default_threads`] workers (bit-identical
-/// to the serial run; see [`cross_validate_threaded`]).
+/// fanning the folds out over `threads` workers.
 ///
-/// Every fold trains a fresh network; held-out predictions from all folds
-/// and iterations are pooled before computing the metrics, matching how the
-/// paper reports a single number per base size.
-///
-/// # Panics
-///
-/// Panics if the dataset is smaller than `k` or `iterations` is zero.
-pub fn cross_validate(
-    x: &Matrix,
-    y: &Matrix,
-    config: &NetworkConfig,
-    k: usize,
-    iterations: usize,
-    seed: u64,
-) -> CrossValReport {
-    cross_validate_threaded(x, y, config, k, iterations, seed, default_threads())
-}
-
-/// [`cross_validate`] with the folds fanned out over `threads` workers.
-///
-/// Every fold trains from a seed derived from `(seed, iteration, fold)`
-/// and held-out predictions are pooled in fold order, so the report is
-/// **bit-identical** for every thread count (pinned by the determinism
-/// suite).
+/// Every fold trains a fresh network from a seed derived from
+/// `(seed, iteration, fold)`; held-out predictions from all folds and
+/// iterations are pooled in fold order before computing the metrics,
+/// matching how the paper reports a single number per base size. The
+/// report is therefore **bit-identical** for every thread count (pinned by
+/// the determinism suite).
 ///
 /// # Panics
 ///
 /// Panics if the dataset is smaller than `k`, `iterations` is zero, or
 /// `threads` is zero.
-pub fn cross_validate_threaded(
+pub fn cross_validate(
     x: &Matrix,
     y: &Matrix,
     config: &NetworkConfig,
@@ -118,25 +99,11 @@ pub fn cross_validate_threaded(
     seed: u64,
     threads: usize,
 ) -> CrossValReport {
-    assert!(iterations > 0, "at least one iteration required");
-
-    // Materialize the fold jobs up front, in pooling order.
-    let mut jobs: Vec<(Vec<usize>, Vec<usize>, u64)> = Vec::with_capacity(iterations * k);
-    for iter in 0..iterations {
-        let folds = KFold::new(k, seed.wrapping_add(iter as u64)).splits(x.rows());
-        for (f, (train_idx, test_idx)) in folds.into_iter().enumerate() {
-            let net_seed = seed
-                .wrapping_mul(1_000_003)
-                .wrapping_add((iter * 31 + f) as u64);
-            jobs.push((train_idx, test_idx, net_seed));
-        }
-    }
-
+    let jobs = fold_jobs(x.rows(), k, iterations, seed);
     let fold_results = parallel_map(threads, jobs.len(), |i, scratch| {
         let (train_idx, test_idx, net_seed) = &jobs[i];
         fold_predictions(x, y, config, train_idx, test_idx, *net_seed, scratch)
     });
-
     pooled_report(fold_results)
 }
 
@@ -152,20 +119,36 @@ pub(crate) fn cross_validate_with(
     seed: u64,
     scratch: &mut Scratch,
 ) -> CrossValReport {
+    let fold_results = fold_jobs(x.rows(), k, iterations, seed)
+        .iter()
+        .map(|(train_idx, test_idx, net_seed)| {
+            fold_predictions(x, y, config, train_idx, test_idx, *net_seed, scratch)
+        })
+        .collect();
+    pooled_report(fold_results)
+}
+
+/// The `iterations × k` fold jobs of `n` rows as `(train, test, network
+/// seed)`, in pooling order. Every seed derives from `(seed, iteration,
+/// fold)` alone.
+fn fold_jobs(
+    n: usize,
+    k: usize,
+    iterations: usize,
+    seed: u64,
+) -> Vec<(Vec<usize>, Vec<usize>, u64)> {
     assert!(iterations > 0, "at least one iteration required");
-    let mut fold_results = Vec::with_capacity(iterations * k);
+    let mut jobs = Vec::with_capacity(iterations * k);
     for iter in 0..iterations {
-        let folds = KFold::new(k, seed.wrapping_add(iter as u64)).splits(x.rows());
+        let folds = KFold::new(k, seed.wrapping_add(iter as u64)).splits(n);
         for (f, (train_idx, test_idx)) in folds.into_iter().enumerate() {
             let net_seed = seed
                 .wrapping_mul(1_000_003)
                 .wrapping_add((iter * 31 + f) as u64);
-            fold_results.push(fold_predictions(
-                x, y, config, &train_idx, &test_idx, net_seed, scratch,
-            ));
+            jobs.push((train_idx, test_idx, net_seed));
         }
     }
-    pooled_report(fold_results)
+    jobs
 }
 
 /// Trains one fold and returns `(held-out truth, held-out predictions)`.
@@ -189,8 +172,16 @@ fn fold_predictions(
     (y_test.data().to_vec(), pred.data().to_vec())
 }
 
-/// Pools per-fold predictions (in fold order) into the aggregate report.
-fn pooled_report(fold_results: Vec<(Vec<f64>, Vec<f64>)>) -> CrossValReport {
+/// Pools per-fold `(held-out truth, held-out predictions)` pairs, in fold
+/// order, into the aggregate report: every fold's values are concatenated
+/// before the metrics are computed, so each metric is one number over all
+/// held-out predictions.
+///
+/// # Panics
+///
+/// Panics if no fold contributes a prediction, if every target is zero, or
+/// if the targets are constant.
+pub fn pooled_report(fold_results: Vec<(Vec<f64>, Vec<f64>)>) -> CrossValReport {
     let total: usize = fold_results.iter().map(|(t, _)| t.len()).sum();
     let mut all_true: Vec<f64> = Vec::with_capacity(total);
     let mut all_pred: Vec<f64> = Vec::with_capacity(total);
@@ -279,7 +270,7 @@ mod tests {
             epochs: 150,
             batch_size: 16,
         };
-        let report = cross_validate(&x, &y, &cfg, 4, 1, 7);
+        let report = cross_validate(&x, &y, &cfg, 4, 1, 7, 2);
         assert!(report.mse < 0.02, "mse={}", report.mse);
         assert!(report.r_squared > 0.9, "r2={}", report.r_squared);
         assert!(report.explained_variance >= report.r_squared - 0.05);
@@ -311,8 +302,8 @@ mod tests {
             batch_size: 8,
             ..NetworkConfig::default()
         };
-        let serial = cross_validate(&x, &y, &cfg, 4, 2, 3);
-        let parallel = cross_validate_threaded(&x, &y, &cfg, 4, 2, 3, 4);
+        let serial = cross_validate(&x, &y, &cfg, 4, 2, 3, 1);
+        let parallel = cross_validate(&x, &y, &cfg, 4, 2, 3, 4);
         assert_eq!(serial.mse.to_bits(), parallel.mse.to_bits());
         assert_eq!(serial.mape.to_bits(), parallel.mape.to_bits());
         assert_eq!(serial.r_squared.to_bits(), parallel.r_squared.to_bits());

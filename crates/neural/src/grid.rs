@@ -9,7 +9,7 @@ use crate::loss::Loss;
 use crate::matrix::Matrix;
 use crate::network::NetworkConfig;
 use crate::optimizer::OptimizerKind;
-use crate::parallel::{default_threads, parallel_map};
+use crate::parallel::parallel_map;
 use serde::{Deserialize, Serialize};
 
 /// The search space.
@@ -110,38 +110,20 @@ pub struct GridPoint {
 }
 
 /// Evaluates every grid point with `k`-fold cross-validation and returns the
-/// points sorted by ascending MSE (best first).
-///
-/// Runs on [`default_threads`] workers; use [`grid_search_threaded`] for an
-/// explicit thread count. The result is bit-identical for every thread
-/// count: each configuration's cross-validation derives all of its seeds
-/// from `(seed, iteration, fold)` alone.
-///
-/// # Panics
-///
-/// Panics if the grid is empty.
-pub fn grid_search(
-    x: &Matrix,
-    y: &Matrix,
-    spec: &GridSpec,
-    k: usize,
-    seed: u64,
-) -> Vec<GridPoint> {
-    grid_search_threaded(x, y, spec, k, seed, default_threads())
-}
-
-/// [`grid_search`] with the grid points fanned out over `threads` workers.
+/// points sorted by ascending MSE (best first), with the grid points fanned
+/// out over `threads` workers.
 ///
 /// Each worker evaluates whole configurations serially, reusing one
 /// [`crate::Scratch`] training workspace across all configurations it
-/// claims; results land in grid order and are sorted once at the end, so
-/// the output is **bit-identical** to the serial run (pinned by the
-/// determinism suite and a CI smoke run).
+/// claims. Each configuration's cross-validation derives all of its seeds
+/// from `(seed, iteration, fold)` alone, and results land in grid order and
+/// are sorted once at the end, so the output is **bit-identical** for every
+/// thread count (pinned by the determinism suite and a CI smoke run).
 ///
 /// # Panics
 ///
 /// Panics if the grid is empty or `threads` is zero.
-pub fn grid_search_threaded(
+pub fn grid_search(
     x: &Matrix,
     y: &Matrix,
     spec: &GridSpec,
@@ -210,7 +192,7 @@ mod tests {
             l2s: vec![0.0],
             layers: vec![1, 2],
         };
-        let points = grid_search(&x, &y, &spec, 3, 2);
+        let points = grid_search(&x, &y, &spec, 3, 2, 2);
         assert_eq!(points.len(), 4);
         for w in points.windows(2) {
             assert!(w[0].mse <= w[1].mse, "not sorted");
@@ -239,8 +221,8 @@ mod tests {
             l2s: vec![0.0],
             layers: vec![1],
         };
-        let serial = grid_search_threaded(&x, &y, &spec, 3, 5, 1);
-        let parallel = grid_search_threaded(&x, &y, &spec, 3, 5, 4);
+        let serial = grid_search(&x, &y, &spec, 3, 5, 1);
+        let parallel = grid_search(&x, &y, &spec, 3, 5, 4);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.config, b.config);

@@ -121,22 +121,6 @@ impl Dense {
         self.w_state.step(self.weights.data_mut(), d_w.data());
         self.b_state.step(&mut self.bias, d_b);
     }
-
-    /// Gradients only, without updating parameters (used by tests for
-    /// finite-difference checks). `input`/`output` are the forward-pass
-    /// batch and this layer's activation output for it.
-    pub fn gradients(
-        &self,
-        input: &Matrix,
-        output: &Matrix,
-        grad_output: &Matrix,
-    ) -> (Matrix, Vec<f64>) {
-        let mut delta = grad_output.clone();
-        self.activation.apply_derivative(output, &mut delta);
-        let mut d_w = Matrix::zeros(0, 0);
-        input.matmul_transpose_a_into(&delta, &mut d_w);
-        (d_w, delta.column_sums())
-    }
 }
 
 #[cfg(test)]
@@ -191,8 +175,13 @@ mod tests {
         let t = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 
         let pred = layer.forward(&x);
-        let grad_out = Loss::Mse.gradient(&t, &pred);
-        let (d_w, d_b) = layer.gradients(&x, &pred, &grad_out);
+        // The backward pass leaves the parameter gradients in its work
+        // buffers; at a zero learning rate its update changes nothing.
+        let mut delta = Loss::Mse.gradient(&t, &pred);
+        let (mut d_w, mut d_b, mut w_t) = (Matrix::zeros(0, 0), Vec::new(), Matrix::zeros(0, 0));
+        layer.clone().backward_into(
+            &x, &pred, &mut delta, None, &mut d_w, &mut d_b, &mut w_t, 0.0,
+        );
 
         let h = 1e-6;
         // Check each weight.

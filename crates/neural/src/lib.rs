@@ -64,26 +64,25 @@ pub mod transfer;
 /// Re-exports of the most used items.
 pub mod prelude {
     pub use crate::activation::Activation;
-    pub use crate::crossval::{cross_validate, cross_validate_threaded, CrossValReport, KFold};
-    pub use crate::grid::{grid_search, grid_search_threaded, GridPoint, GridSpec};
+    pub use crate::crossval::{cross_validate, CrossValReport, KFold};
+    pub use crate::grid::{grid_search, GridPoint, GridSpec};
     pub use crate::loss::Loss;
     pub use crate::matrix::Matrix;
     pub use crate::network::{NetworkConfig, NeuralNetwork};
     pub use crate::optimizer::OptimizerKind;
-    pub use crate::parallel::default_threads;
     pub use crate::pdp::partial_dependence;
     pub use crate::scale::StandardScaler;
     pub use crate::scratch::Scratch;
-    pub use crate::selection::{forward_selection, forward_selection_threaded, SelectionResult};
+    pub use crate::selection::{forward_selection, SelectionResult};
 }
 
 pub use activation::Activation;
-pub use crossval::{cross_validate, cross_validate_threaded, CrossValReport, KFold};
-pub use grid::{grid_search, grid_search_threaded, GridPoint, GridSpec};
+pub use crossval::{cross_validate, CrossValReport, KFold};
+pub use grid::{grid_search, GridPoint, GridSpec};
 pub use loss::Loss;
 pub use matrix::Matrix;
 pub use network::{NetworkConfig, NeuralNetwork};
 pub use optimizer::OptimizerKind;
 pub use scale::StandardScaler;
 pub use scratch::Scratch;
-pub use selection::{forward_selection, forward_selection_threaded, SelectionResult};
+pub use selection::{forward_selection, SelectionResult};

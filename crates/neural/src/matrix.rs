@@ -10,7 +10,7 @@
 //! without materializing `Aᵀ`), and [`Matrix::matmul_transpose_b_into`]
 //! (`A·Bᵀ` likewise) — which write into a caller-owned output matrix whose
 //! allocation is reused across calls. All three use register-tiled
-//! microkernels (up to [`MR2`]`×`[`NR`] = 8×8 accumulators held in
+//! microkernels (up to `MR2 × NR` = 8×8 accumulators held in
 //! registers) so the active slice of the right-hand operand (`n × NR × 8`
 //! bytes per column chunk) stays L1-resident while the inner loop streams
 //! over `k`.

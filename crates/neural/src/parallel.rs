@@ -7,33 +7,12 @@
 //! determinism suite pins this by running the same search with 1 and 4
 //! threads and comparing outputs bit-for-bit.
 //!
-//! The thread count comes from an explicit `threads` argument (the
-//! `--threads` flag of the experiment binaries) or, for the convenience
-//! wrappers, from [`default_threads`] — the `SIZELESS_THREADS` environment
-//! variable if set, else the machine's available parallelism.
+//! The thread count is always an explicit `threads` argument (the
+//! `--threads` flag of the experiment binaries).
 
 use crate::scratch::Scratch;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// The default worker-thread count: `SIZELESS_THREADS` if set (clamped to
-/// at least 1), otherwise [`std::thread::available_parallelism`].
-///
-/// Changing the thread count never changes results — only wall-clock time —
-/// but pinning `SIZELESS_THREADS=1` makes runs easier to profile and keeps
-/// CI timings stable.
-pub fn default_threads() -> usize {
-    match std::env::var("SIZELESS_THREADS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("SIZELESS_THREADS must be a positive integer, got {v:?}"))
-            .max(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
 
 /// Runs `f(0..n)` across `threads` scoped workers and returns the results
 /// in index order.
@@ -117,10 +96,5 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_panics() {
         let _ = parallel_map(0, 3, |i, _| i);
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
     }
 }

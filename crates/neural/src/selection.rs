@@ -9,7 +9,7 @@
 use crate::crossval::cross_validate_with;
 use crate::matrix::Matrix;
 use crate::network::NetworkConfig;
-use crate::parallel::{default_threads, parallel_map};
+use crate::parallel::parallel_map;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of a forward-selection run.
@@ -51,35 +51,17 @@ impl SelectionResult {
 /// `x`), scoring subsets with `k`-fold cross-validation, until `max_features`
 /// are selected or candidates run out.
 ///
-/// Candidate scoring within each round fans out over [`default_threads`]
-/// workers; use [`forward_selection_threaded`] for an explicit count. The
-/// selection is bit-identical for every thread count: every candidate's
+/// Candidate scoring within each round fans out over `threads` workers.
+/// The selection is bit-identical for every thread count: every candidate's
 /// cross-validation seed depends only on `(seed, round, candidate)`, and
 /// the round winner is reduced in candidate order.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty or `max_features` is zero.
-pub fn forward_selection(
-    x: &Matrix,
-    y: &Matrix,
-    candidates: &[usize],
-    config: &NetworkConfig,
-    k: usize,
-    max_features: usize,
-    seed: u64,
-) -> SelectionResult {
-    forward_selection_threaded(x, y, candidates, config, k, max_features, seed, default_threads())
-}
-
-/// [`forward_selection`] with an explicit worker-thread count.
 ///
 /// # Panics
 ///
 /// Panics if `candidates` is empty, `max_features` is zero, or `threads`
 /// is zero.
 #[allow(clippy::too_many_arguments)]
-pub fn forward_selection_threaded(
+pub fn forward_selection(
     x: &Matrix,
     y: &Matrix,
     candidates: &[usize],
@@ -174,7 +156,7 @@ mod tests {
     #[test]
     fn picks_the_dominant_feature_first() {
         let (x, y) = dataset();
-        let result = forward_selection(&x, &y, &[0, 1, 2], &tiny_config(), 3, 3, 1);
+        let result = forward_selection(&x, &y, &[0, 1, 2], &tiny_config(), 3, 3, 1, 2);
         assert_eq!(result.order[0], 0, "order={:?}", result.order);
         assert_eq!(result.order.len(), 3);
         assert_eq!(result.mse_curve.len(), 3);
@@ -183,7 +165,7 @@ mod tests {
     #[test]
     fn error_improves_when_adding_signal_features() {
         let (x, y) = dataset();
-        let result = forward_selection(&x, &y, &[0, 1, 2], &tiny_config(), 3, 3, 2);
+        let result = forward_selection(&x, &y, &[0, 1, 2], &tiny_config(), 3, 3, 2, 2);
         // Best subset should include the dominant feature and beat using it
         // alone or be equal within noise.
         assert!(result.best_subset().contains(&0));
@@ -193,7 +175,7 @@ mod tests {
     #[test]
     fn respects_max_features() {
         let (x, y) = dataset();
-        let result = forward_selection(&x, &y, &[0, 1, 2], &tiny_config(), 3, 2, 3);
+        let result = forward_selection(&x, &y, &[0, 1, 2], &tiny_config(), 3, 2, 3, 2);
         assert_eq!(result.order.len(), 2);
     }
 
@@ -212,9 +194,8 @@ mod tests {
     #[test]
     fn parallel_selection_is_bit_identical_to_serial() {
         let (x, y) = dataset();
-        let serial = forward_selection_threaded(&x, &y, &[0, 1, 2], &tiny_config(), 3, 3, 1, 1);
-        let parallel =
-            forward_selection_threaded(&x, &y, &[0, 1, 2], &tiny_config(), 3, 3, 1, 4);
+        let serial = forward_selection(&x, &y, &[0, 1, 2], &tiny_config(), 3, 3, 1, 1);
+        let parallel = forward_selection(&x, &y, &[0, 1, 2], &tiny_config(), 3, 3, 1, 4);
         assert_eq!(serial.order, parallel.order);
         let serial_bits: Vec<u64> = serial.mse_curve.iter().map(|m| m.to_bits()).collect();
         let parallel_bits: Vec<u64> = parallel.mse_curve.iter().map(|m| m.to_bits()).collect();
@@ -225,6 +206,6 @@ mod tests {
     #[should_panic(expected = "no candidate features")]
     fn empty_candidates_panic() {
         let (x, y) = dataset();
-        let _ = forward_selection(&x, &y, &[], &tiny_config(), 3, 1, 0);
+        let _ = forward_selection(&x, &y, &[], &tiny_config(), 3, 1, 0, 2);
     }
 }

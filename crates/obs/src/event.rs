@@ -82,8 +82,6 @@ pub enum FaultKind {
     Init,
     /// The instance crashed mid-execution.
     Exec,
-    /// The invocation exceeded its per-invocation timeout.
-    Timeout,
     /// The host serving the invocation crashed.
     HostCrash,
 }
@@ -94,7 +92,6 @@ impl FaultKind {
         match self {
             FaultKind::Init => "init",
             FaultKind::Exec => "exec",
-            FaultKind::Timeout => "timeout",
             FaultKind::HostCrash => "host_crash",
         }
     }
@@ -104,7 +101,6 @@ impl FaultKind {
         match s {
             "init" => Some(FaultKind::Init),
             "exec" => Some(FaultKind::Exec),
-            "timeout" => Some(FaultKind::Timeout),
             "host_crash" => Some(FaultKind::HostCrash),
             _ => None,
         }
@@ -251,7 +247,7 @@ pub enum TraceEvent {
         /// How long the host was down, ms.
         down_ms: f64,
     },
-    /// An invocation attempt failed (injected fault, crash, or timeout).
+    /// An invocation attempt failed (injected fault or crash).
     InvocationFailed {
         /// Function id.
         fn_id: u32,
@@ -482,7 +478,7 @@ mod tests {
         ] {
             assert_eq!(LoopPhase::parse(p.name()), Some(p));
         }
-        for f in [FaultKind::Init, FaultKind::Exec, FaultKind::Timeout, FaultKind::HostCrash] {
+        for f in [FaultKind::Init, FaultKind::Exec, FaultKind::HostCrash] {
             assert_eq!(FaultKind::parse(f.name()), Some(f));
         }
         assert_eq!(ThrottleCause::parse("nope"), None);

@@ -105,18 +105,6 @@ impl LogHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Folds another histogram into this one. Bucket counts, totals, and
-    /// extrema merge exactly; `sum` merges up to float addition order.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -242,11 +230,6 @@ impl MetricsRegistry {
     /// Current value of the counter named `name`, if registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
-    }
-
-    /// The histogram named `name`, if registered.
-    pub fn histogram_ref(&self, name: &str) -> Option<&LogHistogram> {
-        self.histograms.iter().find(|(n, _)| *n == name).map(|(_, h)| h)
     }
 
     /// Serializes the registry to JSON at virtual time `at_ms`.
@@ -412,10 +395,12 @@ mod tests {
         assert_eq!(reg.counter_value("missing"), None);
 
         let h = reg.histogram("latency_ms");
+        assert_eq!(reg.histogram("latency_ms"), h);
         reg.observe(h, 12.0);
         reg.observe(h, 14.0);
-        let hist = reg.histogram_ref("latency_ms").expect("registered");
-        assert_eq!(hist.count(), 2);
+        assert!(reg
+            .snapshot_json(0.0)
+            .contains("\"latency_ms\":{\"count\":2,\"sum\":26,"));
     }
 
     #[test]

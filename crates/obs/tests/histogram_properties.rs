@@ -1,55 +1,11 @@
-//! Property tests for the log-scale histogram: merging two histograms must
-//! be indistinguishable (up to float addition order in the running sum)
-//! from ingesting the union of their observations into one histogram.
+//! Property tests for the log-scale histogram: every value lands in a
+//! bucket whose bounds enclose it.
 
 use proptest::prelude::*;
 use sizeless_obs::LogHistogram;
 
-fn values() -> impl Strategy<Value = Vec<f64>> {
-    // A mantissa in [0.1, 10) spread across nine decades: latencies and
-    // memory totals in plausible simulator ranges, awkward magnitudes on
-    // both ends.
-    proptest::collection::vec(
-        (0.1..10.0f64, 0i32..9).prop_map(|(m, e)| m * 10f64.powi(e - 3)),
-        0..64,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn merge_equals_ingesting_the_union(a in values(), b in values()) {
-        let mut ha = LogHistogram::new();
-        for v in &a {
-            ha.observe(*v);
-        }
-        let mut hb = LogHistogram::new();
-        for v in &b {
-            hb.observe(*v);
-        }
-        let mut union = LogHistogram::new();
-        for v in a.iter().chain(b.iter()) {
-            union.observe(*v);
-        }
-
-        ha.merge(&hb);
-
-        // Counts, extrema, and every bucket merge exactly.
-        prop_assert_eq!(ha.count(), union.count());
-        prop_assert_eq!(ha.buckets(), union.buckets());
-        if ha.count() > 0 {
-            prop_assert_eq!(ha.min(), union.min());
-            prop_assert_eq!(ha.max(), union.max());
-            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-                prop_assert_eq!(ha.quantile(q), union.quantile(q));
-            }
-        }
-        // The running sum merges up to float addition order: merge computes
-        // (Σa) + (Σb) while the union interleaves, so allow relative slack.
-        let scale = union.sum().abs().max(1.0);
-        prop_assert!((ha.sum() - union.sum()).abs() <= scale * 1e-12);
-    }
 
     #[test]
     fn every_positive_value_lands_in_a_self_consistent_bucket(v in 1e-9..1e12f64) {

@@ -55,19 +55,6 @@ impl ColdStartModel {
         }
     }
 
-    /// Samples the initialization duration for a profile at a memory size
-    /// (works out the cold start's fixed parts per call; an
-    /// [`ExecutionPlan`](crate::ExecutionPlan) holds them once).
-    pub fn sample_init_ms(
-        &self,
-        profile: &ResourceProfile,
-        memory: MemorySize,
-        laws: &ScalingLaws,
-        rng: &mut RngStream,
-    ) -> f64 {
-        self.plan(profile, memory, laws).sample(rng)
-    }
-
     /// The expected initialization duration (noise-free).
     pub fn expected_init_ms(
         &self,
@@ -135,12 +122,10 @@ mod tests {
         let m = ColdStartModel::aws_like();
         let laws = ScalingLaws::aws_like();
         let p = profile();
+        let plan = m.plan(&p, MemorySize::MB_512, &laws);
         let mut rng = RngStream::from_seed(4, "cold");
         let n = 20_000;
-        let avg: f64 = (0..n)
-            .map(|_| m.sample_init_ms(&p, MemorySize::MB_512, &laws, &mut rng))
-            .sum::<f64>()
-            / n as f64;
+        let avg: f64 = (0..n).map(|_| plan.sample(&mut rng)).sum::<f64>() / n as f64;
         let expected = m.expected_init_ms(&p, MemorySize::MB_512, &laws);
         assert!((avg - expected).abs() / expected < 0.03, "avg={avg} exp={expected}");
     }

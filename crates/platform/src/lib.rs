@@ -68,7 +68,6 @@ pub mod memory;
 pub mod platform;
 pub mod pool;
 pub mod pricing;
-pub mod providers;
 pub mod resource;
 pub mod scaling;
 pub mod services;

@@ -53,8 +53,6 @@ impl MemorySize {
         MemorySize::MB_3008,
     ];
 
-    /// Smallest configurable size (128 MB).
-    pub const MIN: MemorySize = MemorySize(128);
     /// Largest configurable size (3008 MB).
     pub const MAX: MemorySize = MemorySize(3008);
 

@@ -242,24 +242,6 @@ impl ResourceProfile {
             .fold(0.0, f64::max);
         self.baseline_working_set_mb + peak_stage
     }
-
-    /// Total CPU demand across stages, ms at 1 vCPU.
-    pub fn total_cpu_ms(&self) -> f64 {
-        self.stages.iter().map(|s| s.cpu_ms).sum()
-    }
-
-    /// The smallest standard memory size that fits this profile's peak
-    /// working set (functions must not OOM at their deployed size).
-    pub fn min_viable_memory(&self) -> crate::memory::MemorySize {
-        use crate::memory::MemorySize;
-        let peak = self.peak_working_set_mb();
-        for m in MemorySize::STANDARD {
-            if peak <= m.mb() as f64 * 0.85 {
-                return m;
-            }
-        }
-        MemorySize::MAX
-    }
 }
 
 /// Builder for [`ResourceProfile`].
@@ -325,7 +307,6 @@ impl ResourceProfileBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::MemorySize;
 
     #[test]
     fn stage_constructors_set_expected_fields() {
@@ -368,23 +349,9 @@ mod tests {
             .stage(Stage::cpu("b", 20.0).with_working_set(40.0))
             .baseline_working_set_mb(20.0)
             .build();
-        assert_eq!(p.total_cpu_ms(), 50.0);
         assert_eq!(p.peak_working_set_mb(), 120.0);
         assert_eq!(p.stages().len(), 2);
         assert_eq!(p.name(), "f");
-    }
-
-    #[test]
-    fn min_viable_memory_respects_working_set() {
-        let small = ResourceProfile::builder("small")
-            .stage(Stage::cpu("a", 10.0).with_working_set(10.0))
-            .build();
-        assert_eq!(small.min_viable_memory(), MemorySize::MB_128);
-
-        let big = ResourceProfile::builder("big")
-            .stage(Stage::cpu("a", 10.0).with_working_set(700.0))
-            .build();
-        assert!(big.min_viable_memory() >= MemorySize::MB_1024);
     }
 
     #[test]

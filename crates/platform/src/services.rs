@@ -177,12 +177,6 @@ impl ServiceCatalog {
             .get(&kind)
             .unwrap_or_else(|| panic!("service {kind} missing from catalog"))
     }
-
-    /// Replaces the model for one service (builder-style customization).
-    pub fn with_model(mut self, kind: ServiceKind, model: ServiceModel) -> Self {
-        self.models.insert(kind, model);
-        self
-    }
 }
 
 impl Default for ServiceCatalog {
@@ -245,13 +239,6 @@ mod tests {
         let t_small = transfer_time_ms(2048.0, MemorySize::MB_128, &laws);
         let t_large = transfer_time_ms(2048.0, MemorySize::MB_3008, &laws);
         assert!(t_small > t_large);
-    }
-
-    #[test]
-    fn with_model_overrides() {
-        let c = ServiceCatalog::aws_like()
-            .with_model(ServiceKind::DynamoDb, ServiceModel::new(99.0, 0.1, 0.0));
-        assert_eq!(c.model(ServiceKind::DynamoDb).base_latency_ms, 99.0);
     }
 
     #[test]

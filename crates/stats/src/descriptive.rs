@@ -38,19 +38,6 @@ pub fn variance(xs: &[f64]) -> Result<f64, StatsError> {
     Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
 }
 
-/// Sample variance (divides by `n - 1`); returns 0 for singleton samples.
-///
-/// # Errors
-///
-/// Same conditions as [`mean`].
-pub fn sample_variance(xs: &[f64]) -> Result<f64, StatsError> {
-    let m = mean(xs)?;
-    if xs.len() < 2 {
-        return Ok(0.0);
-    }
-    Ok(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
-}
-
 /// Population standard deviation.
 ///
 /// # Errors
@@ -212,17 +199,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance(&xs).unwrap() - 4.0).abs() < 1e-12);
         assert!((std_dev(&xs).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_divides_by_n_minus_1() {
-        let xs = [1.0, 2.0, 3.0];
-        assert!((sample_variance(&xs).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_variance_of_singleton_is_zero() {
-        assert_eq!(sample_variance(&[42.0]).unwrap(), 0.0);
     }
 
     #[test]

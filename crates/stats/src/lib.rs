@@ -9,9 +9,7 @@
 //! * [`cliffs`] — Cliff's delta effect size, used by the paper to argue that
 //!   differences observed after one minute of measurement are negligible.
 //! * [`regression`] — the regression quality metrics of Table 3 (MSE, MAPE,
-//!   R², explained variance) plus MAE.
-//! * [`correlation`] — Pearson and Spearman correlation, used in feature
-//!   analysis.
+//!   R², explained variance).
 //!
 //! All routines are implemented from scratch on `&[f64]` slices, are fully
 //! deterministic, and are unit-tested against hand-computed values.
@@ -26,18 +24,15 @@
 //! ```
 
 pub mod cliffs;
-pub mod correlation;
 pub mod descriptive;
 pub mod error;
 pub mod mannwhitney;
 pub mod regression;
 
 pub use cliffs::{cliffs_delta, cliffs_delta_sorted, DeltaMagnitude};
-pub use correlation::{pearson, spearman};
 pub use descriptive::Summary;
 pub use error::StatsError;
 pub use mannwhitney::{mann_whitney_u, mann_whitney_u_sorted, MannWhitneyResult};
-pub use regression::RegressionReport;
 
 /// Standard normal cumulative distribution function.
 ///

@@ -1,7 +1,6 @@
 //! Regression quality metrics (Table 3 of the paper): MSE, MAPE, R²,
-//! explained variance, plus MAE.
+//! explained variance.
 
-use serde::{Deserialize, Serialize};
 use crate::descriptive::{mean, variance};
 use crate::error::{validate_pair, StatsError};
 
@@ -23,21 +22,6 @@ pub fn mse(y_true: &[f64], y_pred: &[f64]) -> Result<f64, StatsError> {
         .iter()
         .zip(y_pred)
         .map(|(t, p)| (t - p) * (t - p))
-        .sum::<f64>()
-        / y_true.len() as f64)
-}
-
-/// Mean absolute error.
-///
-/// # Errors
-///
-/// Same conditions as [`mse`].
-pub fn mae(y_true: &[f64], y_pred: &[f64]) -> Result<f64, StatsError> {
-    validate_pair(y_true, y_pred)?;
-    Ok(y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(t, p)| (t - p).abs())
         .sum::<f64>()
         / y_true.len() as f64)
 }
@@ -106,59 +90,6 @@ pub fn explained_variance(y_true: &[f64], y_pred: &[f64]) -> Result<f64, StatsEr
     Ok(1.0 - variance(&residuals)? / var_y)
 }
 
-/// Relative prediction error `|pred − true| / true`, as used in Tables 4–7.
-///
-/// # Panics
-///
-/// Panics if `y_true` is zero (execution times are strictly positive).
-pub fn relative_error(y_true: f64, y_pred: f64) -> f64 {
-    assert!(y_true != 0.0, "relative error undefined for zero true value");
-    ((y_pred - y_true) / y_true).abs()
-}
-
-/// The full set of regression metrics reported in Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RegressionReport {
-    /// Mean squared error.
-    pub mse: f64,
-    /// Mean absolute error.
-    pub mae: f64,
-    /// Mean absolute percentage error (fraction).
-    pub mape: f64,
-    /// Coefficient of determination.
-    pub r_squared: f64,
-    /// Explained variance score.
-    pub explained_variance: f64,
-}
-
-impl RegressionReport {
-    /// Computes all metrics for a prediction vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from the individual metrics, including
-    /// [`StatsError::DegenerateVariance`] for constant targets.
-    pub fn evaluate(y_true: &[f64], y_pred: &[f64]) -> Result<Self, StatsError> {
-        Ok(RegressionReport {
-            mse: mse(y_true, y_pred)?,
-            mae: mae(y_true, y_pred)?,
-            mape: mape(y_true, y_pred)?,
-            r_squared: r_squared(y_true, y_pred)?,
-            explained_variance: explained_variance(y_true, y_pred)?,
-        })
-    }
-}
-
-impl std::fmt::Display for RegressionReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "MSE={:.4} MAE={:.4} MAPE={:.3} R2={:.3} ExpVar={:.3}",
-            self.mse, self.mae, self.mape, self.r_squared, self.explained_variance
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,22 +97,15 @@ mod tests {
     #[test]
     fn perfect_prediction() {
         let y = [1.0, 2.0, 3.0, 4.0];
-        let r = RegressionReport::evaluate(&y, &y).unwrap();
-        assert_eq!(r.mse, 0.0);
-        assert_eq!(r.mae, 0.0);
-        assert_eq!(r.mape, 0.0);
-        assert_eq!(r.r_squared, 1.0);
-        assert_eq!(r.explained_variance, 1.0);
+        assert_eq!(mse(&y, &y).unwrap(), 0.0);
+        assert_eq!(mape(&y, &y).unwrap(), 0.0);
+        assert_eq!(r_squared(&y, &y).unwrap(), 1.0);
+        assert_eq!(explained_variance(&y, &y).unwrap(), 1.0);
     }
 
     #[test]
     fn mse_hand_computed() {
         assert_eq!(mse(&[0.0, 0.0], &[1.0, 3.0]).unwrap(), 5.0);
-    }
-
-    #[test]
-    fn mae_hand_computed() {
-        assert_eq!(mae(&[0.0, 0.0], &[1.0, -3.0]).unwrap(), 2.0);
     }
 
     #[test]
@@ -223,26 +147,5 @@ mod tests {
             r_squared(&[2.0, 2.0], &[1.0, 3.0]).unwrap_err(),
             StatsError::DegenerateVariance
         );
-    }
-
-    #[test]
-    fn relative_error_matches_tables_definition() {
-        // Prediction 40ms vs real 20ms → 100% error, as discussed for
-        // ListAllEvents in the paper.
-        assert!((relative_error(20.0, 40.0) - 1.0).abs() < 1e-12);
-        assert!((relative_error(100.0, 90.0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "relative error undefined")]
-    fn relative_error_zero_true_panics() {
-        let _ = relative_error(0.0, 1.0);
-    }
-
-    #[test]
-    fn report_display_is_nonempty() {
-        let y = [1.0, 2.0];
-        let r = RegressionReport::evaluate(&y, &[1.1, 1.9]).unwrap();
-        assert!(!r.to_string().is_empty());
     }
 }

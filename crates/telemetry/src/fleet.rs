@@ -31,7 +31,7 @@ pub struct FleetCounters {
     /// Requests rejected because no host could place an instance.
     pub throttled_capacity: usize,
     /// Requests that terminally failed: every attempt the retry policy was
-    /// willing to pay ended in an injected fault, crash, or timeout.
+    /// willing to pay ended in an injected fault or crash.
     pub failed: usize,
     /// Individual execution attempts that failed (each retried attempt that
     /// fails counts again; terminally failed requests contribute all of

@@ -26,11 +26,6 @@ impl InvocationSample {
     pub fn value(&self, metric: Metric) -> f64 {
         self.values[metric.index()]
     }
-
-    /// The monitored inner execution time, ms.
-    pub fn execution_time_ms(&self) -> f64 {
-        self.value(Metric::ExecutionTime)
-    }
 }
 
 /// The wrapper-style monitor.

@@ -86,11 +86,6 @@ impl StreamingWindow {
         self.samples.is_empty()
     }
 
-    /// Whether the window has reached its capacity.
-    pub fn is_full(&self) -> bool {
-        self.samples.len() == self.capacity
-    }
-
     /// Samples evicted (oldest-first) since creation or the last
     /// [`StreamingWindow::clear`].
     pub fn evicted(&self) -> usize {
@@ -139,7 +134,6 @@ mod tests {
             w.push(sample(i as f64, 10.0 * i as f64));
         }
         assert_eq!(w.len(), 3);
-        assert!(w.is_full());
         assert_eq!(w.evicted(), 2);
         let ats: Vec<f64> = w.samples().map(|s| s.at_ms).collect();
         assert_eq!(ats, vec![2.0, 3.0, 4.0]);

@@ -48,15 +48,6 @@ impl ExperimentConfig {
     pub fn with_seed(self, seed: u64) -> Self {
         ExperimentConfig { seed, ..self }
     }
-
-    /// Returns a copy with a different duration.
-    pub fn with_duration_ms(self, duration_ms: f64) -> Self {
-        assert!(duration_ms > 0.0, "duration must be positive");
-        ExperimentConfig {
-            duration_ms,
-            ..self
-        }
-    }
 }
 
 impl Default for ExperimentConfig {

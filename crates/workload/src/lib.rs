@@ -4,15 +4,16 @@
 //! with exponentially distributed inter-arrival times for ten minutes** per
 //! memory size, orchestrated by a Go measurement harness that parallelizes
 //! experiments; case studies use **ten measurement repetitions as randomized
-//! multiple interleaved trials** (Abedi & Brecht, ICPE'17). This crate is
-//! the Rust equivalent against the simulated platform:
+//! multiple interleaved trials** (Abedi & Brecht, ICPE'17). Interleaving
+//! guards against drift in a shared cloud; simulated experiments share no
+//! state, so a repetition here is one more independently seeded experiment
+//! and run order cannot bias a result. This crate is the Rust equivalent
+//! against the simulated platform:
 //!
 //! * [`arrival`] — open-loop arrival processes (Poisson and constant-rate).
 //! * [`harness`] — [`run_experiment`]: one
 //!   (function, memory size) performance test producing a
 //!   [`Measurement`] (metric store + summary).
-//! * [`trials`] — randomized multiple interleaved trials with repetition
-//!   control.
 //! * [`parallel`] — crossbeam-based fan-out of independent experiments with
 //!   per-experiment RNG streams (deterministic regardless of thread
 //!   interleaving).
@@ -21,10 +22,8 @@ pub mod arrival;
 pub mod bursty;
 pub mod harness;
 pub mod parallel;
-pub mod trials;
 
 pub use arrival::{ArrivalKind, ArrivalProcess};
 pub use bursty::{BurstyArrival, BurstySampler};
 pub use harness::{run_experiment, ExperimentConfig, Measurement, MeasurementSummary};
 pub use parallel::{map_parallel, measure_parallel};
-pub use trials::{InterleavedTrials, TrialPlan};

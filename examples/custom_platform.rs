@@ -11,7 +11,7 @@
 //! ```
 
 use sizeless::core::dataset::DatasetConfig;
-use sizeless::core::pipeline::{PipelineConfig, SizelessPipeline};
+use sizeless::core::trainer::{Trainer, TrainerConfig};
 use sizeless::platform::prelude::*;
 use sizeless::workload::{run_experiment, ExperimentConfig};
 
@@ -36,15 +36,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let aws = Platform::aws_like();
 
-    let mut cfg = PipelineConfig {
+    let mut cfg = TrainerConfig {
         dataset: DatasetConfig::scaled(120),
-        ..PipelineConfig::default()
+        ..TrainerConfig::default()
     };
     cfg.network.epochs = 80;
 
     println!("Training one pipeline per provider …");
-    let aws_pipeline = SizelessPipeline::train_on(&aws, &cfg)?;
-    let other_pipeline = SizelessPipeline::train_on(&other_cloud, &cfg)?;
+    let trainer = Trainer::new(cfg);
+    let aws_sizer = trainer.train(&aws)?;
+    let other_sizer = trainer.train(&other_cloud)?;
 
     // The same CPU-bound function deployed on both clouds at 256 MB.
     let function = ResourceProfile::builder("report-generator")
@@ -56,12 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 5,
     };
 
-    for (name, platform, pipeline) in [
-        ("AWS-like", &aws, &aws_pipeline),
-        ("OtherCloud", &other_cloud, &other_pipeline),
+    for (name, platform, sizer) in [
+        ("AWS-like", &aws, &aws_sizer),
+        ("OtherCloud", &other_cloud, &other_sizer),
     ] {
         let m = run_experiment(platform, &function, MemorySize::MB_256, &monitor_cfg);
-        let rec = pipeline.recommend(&m.metrics);
+        let rec = sizer.recommend(&m.metrics);
         println!("\n[{name}] monitored 256 MB mean: {:.1} ms", m.summary.mean_execution_ms);
         for (size, time) in rec.predicted.iter() {
             let truth = platform.expected_duration_ms(&function, size);

@@ -14,19 +14,19 @@
 use sizeless::core::dataset::DatasetConfig;
 use sizeless::core::drift::{detect_drift, watched_metrics, DriftConfig};
 use sizeless::core::interpolate::optimize_full_grid;
-use sizeless::core::pipeline::{PipelineConfig, SizelessPipeline};
+use sizeless::core::trainer::{Trainer, TrainerConfig};
 use sizeless::platform::{MemorySize, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage};
 use sizeless::workload::{run_experiment, ExperimentConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let platform = Platform::aws_like();
-    let mut cfg = PipelineConfig {
+    let mut cfg = TrainerConfig {
         dataset: DatasetConfig::scaled(150),
-        ..PipelineConfig::default()
+        ..TrainerConfig::default()
     };
     cfg.network.epochs = 80;
     println!("Training pipeline …");
-    let pipeline = SizelessPipeline::train_on(&platform, &cfg)?;
+    let sizer = Trainer::new(cfg).train(&platform)?;
 
     // --- 1. Full-grid interpolation -----------------------------------
     let function = ResourceProfile::builder("etl-step")
@@ -46,9 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: 1,
         },
     );
-    let predicted = pipeline.model().predict(&monitoring.metrics);
-    let six = pipeline.optimizer().optimize(&predicted);
-    let full = optimize_full_grid(&predicted, pipeline.optimizer());
+    let predicted = sizer.model().predict(&monitoring.metrics);
+    let six = sizer.optimizer().optimize(&predicted);
+    let full = optimize_full_grid(&predicted, sizer.optimizer());
     println!("\n[interpolation] six-size grid recommends {}", six.chosen);
     println!("[interpolation] full 64 MB grid recommends {}", full.chosen);
     println!(
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("[drift]   {} drifted ({}, delta {:+.2})", d.metric, d.magnitude, d.delta);
     }
     if report.should_reoptimize() {
-        let rec = pipeline.recommend(&fresh.metrics);
+        let rec = sizer.recommend(&fresh.metrics);
         println!("[drift] new recommendation: {}", rec.memory_size());
     }
 

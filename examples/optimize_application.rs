@@ -9,7 +9,7 @@
 use sizeless::apps::{measure_app, CaseStudyApp, MeasurementPlan};
 use sizeless::core::dataset::DatasetConfig;
 use sizeless::core::optimizer::{MemoryOptimizer, Tradeoff};
-use sizeless::core::pipeline::{PipelineConfig, SizelessPipeline};
+use sizeless::core::trainer::{Trainer, TrainerConfig};
 use sizeless::platform::{MemorySize, Platform};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,13 +17,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = CaseStudyApp::HelloRetail;
 
     // Offline phase (small demo dataset).
-    let mut cfg = PipelineConfig {
+    let mut cfg = TrainerConfig {
         dataset: DatasetConfig::scaled(150),
-        ..PipelineConfig::default()
+        ..TrainerConfig::default()
     };
     cfg.network.epochs = 80;
     println!("Training pipeline …");
-    let pipeline = SizelessPipeline::train_on(&platform, &cfg)?;
+    let sizer = Trainer::new(cfg).train(&platform)?;
 
     // Measure the application as deployed (we use the measurement plan only
     // to obtain 256 MB monitoring data + ground truth for the comparison).
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut speedups = 0.0;
     let mut savings = 0.0;
     for f in &measurement.functions {
-        let rec = pipeline.recommend(f.metrics_at(MemorySize::MB_256));
+        let rec = sizer.recommend(f.metrics_at(MemorySize::MB_256));
         let chosen = rec.memory_size();
         let t_base = f.execution_ms_at(MemorySize::MB_256);
         let t_new = f.execution_ms_at(chosen);
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for t in [1.0, 0.75, 0.5, 0.25, 0.0] {
         let optimizer =
             MemoryOptimizer::new(*platform.pricing(), Tradeoff::new(t).expect("valid"));
-        let rec = optimizer.optimize(&pipeline.model().predict(f.metrics_at(MemorySize::MB_256)));
+        let rec = optimizer.optimize(&sizer.model().predict(f.metrics_at(MemorySize::MB_256)));
         println!("  t = {t:<4} → {}", rec.chosen);
     }
     Ok(())

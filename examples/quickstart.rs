@@ -6,7 +6,7 @@
 //! ```
 
 use sizeless::core::dataset::DatasetConfig;
-use sizeless::core::pipeline::{PipelineConfig, SizelessPipeline};
+use sizeless::core::trainer::{Trainer, TrainerConfig};
 use sizeless::platform::{MemorySize, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage};
 use sizeless::workload::{run_experiment, ExperimentConfig};
 
@@ -17,13 +17,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    train the multi-target regression model. The paper uses 2 000
     //    functions and 10-minute experiments; 150 functions keep this demo
     //    under a minute.
-    let mut cfg = PipelineConfig {
+    let mut cfg = TrainerConfig {
         dataset: DatasetConfig::scaled(150),
-        ..PipelineConfig::default()
+        ..TrainerConfig::default()
     };
     cfg.network.epochs = 80;
     println!("Training the Sizeless pipeline on {} synthetic functions …", 150);
-    let pipeline = SizelessPipeline::train_on(&platform, &cfg)?;
+    let sizer = Trainer::new(cfg).train(&platform)?;
 
     // 2. "Production": a function we only ever deployed at 256 MB.
     //    It mixes CPU work with a DynamoDB query — we don't know (and the
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. One call: predicted times for all sizes + a recommendation,
     //    rendered as the operator-facing report.
-    let recommendation = pipeline.recommend(&monitoring.metrics);
+    let recommendation = sizer.recommend(&monitoring.metrics);
     println!();
     println!(
         "{}",

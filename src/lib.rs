@@ -22,7 +22,7 @@
 //! * [`neural`] — the from-scratch dense neural network used for
 //!   multi-target regression.
 //! * [`obs`] — deterministic observability: structured trace events,
-//!   zero-cost sinks, JSONL/Chrome-trace exporters, and a virtual-time
+//!   zero-cost sinks, a JSONL exporter, and a virtual-time
 //!   metrics registry.
 //! * [`core`] — the Sizeless approach itself: dataset generation, feature
 //!   engineering, the predictor, and the memory-size optimizer.
@@ -31,13 +31,14 @@
 //! # Quickstart
 //!
 //! ```no_run
-//! use sizeless::core::pipeline::{SizelessPipeline, PipelineConfig};
+//! use sizeless::core::trainer::{Trainer, TrainerConfig};
+//! use sizeless::platform::Platform;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Train on a (small) synthetic dataset and optimize one function.
-//! let mut cfg = PipelineConfig::default();
+//! let mut cfg = TrainerConfig::default();
 //! cfg.dataset.function_count = 100;
-//! let pipeline = SizelessPipeline::train(&cfg)?;
+//! let sizer = Trainer::new(cfg).train(&Platform::aws_like())?;
 //! # Ok(())
 //! # }
 //! ```

@@ -6,7 +6,6 @@
 //! these tests fail before any experiment numbers silently shift.
 
 use sizeless::core::dataset::{DatasetConfig, TrainingDataset};
-use sizeless::core::pipeline::{PipelineConfig, SizelessPipeline};
 use sizeless::core::service::{
     AdaptationKind, ControlPlane, FineTuneConfig, RemeasureKind, ServiceConfig, SizingService,
 };
@@ -21,10 +20,10 @@ use sizeless::neural::NetworkConfig;
 use sizeless::platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
 use sizeless::workload::{run_experiment, ArrivalProcess, BurstyArrival, ExperimentConfig};
 
-fn tiny_config(seed: u64) -> PipelineConfig {
+fn tiny_config(seed: u64) -> TrainerConfig {
     let mut dataset = DatasetConfig::tiny(16);
     dataset.seed = seed;
-    PipelineConfig {
+    TrainerConfig {
         dataset,
         network: NetworkConfig {
             hidden_layers: 1,
@@ -33,7 +32,7 @@ fn tiny_config(seed: u64) -> PipelineConfig {
             ..NetworkConfig::default()
         },
         seed,
-        ..PipelineConfig::default()
+        ..TrainerConfig::default()
     }
 }
 
@@ -42,8 +41,12 @@ fn tiny_config(seed: u64) -> PipelineConfig {
 #[test]
 fn seeded_pipeline_training_is_bit_reproducible() {
     let platform = Platform::aws_like();
-    let a = SizelessPipeline::train_on(&platform, &tiny_config(7)).expect("train a");
-    let b = SizelessPipeline::train_on(&platform, &tiny_config(7)).expect("train b");
+    let a = Trainer::new(tiny_config(7))
+        .train(&platform)
+        .expect("train a");
+    let b = Trainer::new(tiny_config(7))
+        .train(&platform)
+        .expect("train b");
 
     let probe = ResourceProfile::builder("determinism-probe")
         .stage(Stage::cpu("work", 120.0).with_working_set(20.0))
@@ -594,8 +597,8 @@ fn parallel_grid_search_is_bit_identical_to_serial() {
         l2s: vec![0.0, 0.001],
         layers: vec![1],
     };
-    let serial = grid_search_threaded(&x, &y, &spec, 3, 17, 1);
-    let threaded = grid_search_threaded(&x, &y, &spec, 3, 17, 4);
+    let serial = grid_search(&x, &y, &spec, 3, 17, 1);
+    let threaded = grid_search(&x, &y, &spec, 3, 17, 4);
     assert_eq!(serial.len(), threaded.len());
     for (a, b) in serial.iter().zip(&threaded) {
         assert_eq!(a.config, b.config, "rank order diverged across thread counts");
@@ -612,8 +615,8 @@ fn parallel_grid_search_is_bit_identical_to_serial() {
         batch_size: 16,
         ..NetworkConfig::default()
     };
-    let cv_serial = cross_validate_threaded(&x, &y, &cv_cfg, 4, 2, 23, 1);
-    let cv_threaded = cross_validate_threaded(&x, &y, &cv_cfg, 4, 2, 23, 4);
+    let cv_serial = cross_validate(&x, &y, &cv_cfg, 4, 2, 23, 1);
+    let cv_threaded = cross_validate(&x, &y, &cv_cfg, 4, 2, 23, 4);
     assert_eq!(cv_serial.mse.to_bits(), cv_threaded.mse.to_bits());
     assert_eq!(cv_serial.mape.to_bits(), cv_threaded.mape.to_bits());
     assert_eq!(cv_serial.r_squared.to_bits(), cv_threaded.r_squared.to_bits());

@@ -5,16 +5,16 @@ use sizeless::core::dataset::{DatasetConfig, TrainingDataset};
 use sizeless::core::features::FeatureSet;
 use sizeless::core::model::SizelessModel;
 use sizeless::core::optimizer::{MemoryOptimizer, Tradeoff};
-use sizeless::core::pipeline::{PipelineConfig, SizelessPipeline};
+use sizeless::core::trainer::{TrainedSizer, Trainer, TrainerConfig};
 use sizeless::neural::NetworkConfig;
 use sizeless::platform::{MemorySize, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage};
 use sizeless::workload::{run_experiment, ExperimentConfig};
 
-fn quick_pipeline(platform: &Platform) -> SizelessPipeline {
+fn quick_sizer(platform: &Platform) -> TrainedSizer {
     // 80 functions is the smallest training set at which the tiny model's
     // recommendations separate cpu-bound from network-bound profiles
     // robustly; 40 leaves the service-dominated regime under-represented.
-    let cfg = PipelineConfig {
+    let cfg = TrainerConfig {
         dataset: DatasetConfig::tiny(80),
         network: NetworkConfig {
             hidden_layers: 2,
@@ -23,9 +23,11 @@ fn quick_pipeline(platform: &Platform) -> SizelessPipeline {
             l2: 0.0001,
             ..NetworkConfig::default()
         },
-        ..PipelineConfig::default()
+        ..TrainerConfig::default()
     };
-    SizelessPipeline::train_on(platform, &cfg).expect("training succeeds")
+    Trainer::new(cfg)
+        .train(platform)
+        .expect("training succeeds")
 }
 
 fn monitor(
@@ -48,7 +50,7 @@ fn monitor(
 #[test]
 fn cpu_bound_function_gets_bigger_size_than_network_bound() {
     let platform = Platform::aws_like();
-    let pipeline = quick_pipeline(&platform);
+    let sizer = quick_sizer(&platform);
 
     let cpu_bound = ResourceProfile::builder("cpu-bound")
         .stage(Stage::cpu("crunch", 300.0).with_working_set(30.0))
@@ -60,8 +62,8 @@ fn cpu_bound_function_gets_bigger_size_than_network_bound() {
         ))
         .build();
 
-    let cpu_rec = pipeline.recommend(&monitor(&platform, &cpu_bound, MemorySize::MB_256).metrics);
-    let net_rec = pipeline.recommend(&monitor(&platform, &net_bound, MemorySize::MB_256).metrics);
+    let cpu_rec = sizer.recommend(&monitor(&platform, &cpu_bound, MemorySize::MB_256).metrics);
+    let net_rec = sizer.recommend(&monitor(&platform, &net_bound, MemorySize::MB_256).metrics);
 
     assert!(
         cpu_rec.memory_size() > net_rec.memory_size(),
@@ -78,7 +80,7 @@ fn predictions_beat_the_naive_no_change_baseline() {
     // The whole point of the model: predicted times at unseen sizes should
     // be much closer to the oracle than assuming "time never changes".
     let platform = Platform::aws_like();
-    let pipeline = quick_pipeline(&platform);
+    let sizer = quick_sizer(&platform);
 
     let function = ResourceProfile::builder("mixed")
         .stage(Stage::cpu("work", 90.0).with_working_set(25.0))
@@ -88,7 +90,7 @@ fn predictions_beat_the_naive_no_change_baseline() {
         ))
         .build();
     let m = monitor(&platform, &function, MemorySize::MB_256);
-    let predicted = pipeline.model().predict(&m.metrics);
+    let predicted = sizer.model().predict(&m.metrics);
 
     let mut model_err = 0.0;
     let mut naive_err = 0.0;
@@ -110,13 +112,13 @@ fn predictions_beat_the_naive_no_change_baseline() {
 #[test]
 fn recommendation_is_deterministic() {
     let platform = Platform::aws_like();
-    let pipeline = quick_pipeline(&platform);
+    let sizer = quick_sizer(&platform);
     let function = ResourceProfile::builder("det")
         .stage(Stage::cpu("w", 50.0))
         .build();
     let m = monitor(&platform, &function, MemorySize::MB_256);
-    let a = pipeline.recommend(&m.metrics);
-    let b = pipeline.recommend(&m.metrics);
+    let a = sizer.recommend(&m.metrics);
+    let b = sizer.recommend(&m.metrics);
     assert_eq!(a, b);
 }
 
@@ -164,7 +166,7 @@ fn optimizer_rank_agrees_with_oracle_for_extreme_profiles() {
     // t = 0.75 must be the smallest; the pipeline should find it from
     // monitoring data alone.
     let platform = Platform::aws_like();
-    let pipeline = quick_pipeline(&platform);
+    let sizer = quick_sizer(&platform);
     let flat = ResourceProfile::builder("flat")
         .stage(Stage::service(
             "ext",
@@ -172,7 +174,7 @@ fn optimizer_rank_agrees_with_oracle_for_extreme_profiles() {
         ))
         .build();
     let m = monitor(&platform, &flat, MemorySize::MB_256);
-    let rec = pipeline.recommend(&m.metrics);
+    let rec = sizer.recommend(&m.metrics);
 
     let truth_times: std::collections::BTreeMap<MemorySize, f64> = MemorySize::STANDARD
         .iter()

@@ -292,8 +292,8 @@ proptest! {
             l2s: vec![0.0],
             layers: vec![1],
         };
-        let serial = grid_search_threaded(&x, &y, &spec, 3, seed, 1);
-        let parallel = grid_search_threaded(&x, &y, &spec, 3, seed, 4);
+        let serial = grid_search(&x, &y, &spec, 3, seed, 1);
+        let parallel = grid_search(&x, &y, &spec, 3, seed, 4);
         for (a, b) in serial.iter().zip(&parallel) {
             prop_assert_eq!(a.config, b.config);
             prop_assert_eq!(a.mse.to_bits(), b.mse.to_bits());
@@ -309,8 +309,8 @@ proptest! {
             batch_size: 8,
             ..NetworkConfig::default()
         };
-        let cv_serial = cross_validate_threaded(&x, &y, &cfg, 3, 2, seed, 1);
-        let cv_parallel = cross_validate_threaded(&x, &y, &cfg, 3, 2, seed, 3);
+        let cv_serial = cross_validate(&x, &y, &cfg, 3, 2, seed, 1);
+        let cv_parallel = cross_validate(&x, &y, &cfg, 3, 2, seed, 3);
         prop_assert_eq!(cv_serial.mse.to_bits(), cv_parallel.mse.to_bits());
         prop_assert_eq!(cv_serial.mape.to_bits(), cv_parallel.mape.to_bits());
     }
