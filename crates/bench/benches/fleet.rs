@@ -5,7 +5,7 @@
 use criterion::{criterion_main, BatchSize, Criterion};
 use sizeless_engine::RngStream;
 use sizeless_fleet::{
-    run_fleet, FleetArrival, FleetConfig, FleetFunction, Host, KeepAliveKind, SchedulerKind,
+    Fleet, FleetArrival, FleetConfig, FleetFunction, Host, KeepAliveKind, SchedulerKind,
 };
 use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
 use sizeless_workload::ArrivalProcess;
@@ -62,13 +62,14 @@ fn bench_fleet_run(c: &mut Criterion) {
     )];
     c.bench_function("fleet/run/4x2GB_5s_50rps", |b| {
         b.iter(|| {
-            run_fleet(
+            Fleet::from_kinds(
                 &platform,
                 &FleetConfig::new(4, 2048.0, 5_000.0, 1),
                 &functions,
                 SchedulerKind::WarmFirst,
                 KeepAliveKind::Adaptive,
             )
+            .run()
         })
     });
 }

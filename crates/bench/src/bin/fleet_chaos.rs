@@ -29,9 +29,9 @@ use sizeless_bench::{print_table, ExperimentContext};
 use sizeless_core::service::{ControlPlane, RemeasureKind, ServiceConfig, SizingService};
 use sizeless_core::trainer::TrainerConfig;
 use sizeless_fleet::{
-    run_faulted_fleet, run_multi_region_faulted, FaultPlan, Fleet, FleetArrival, FleetConfig,
-    FleetFunction, FleetReport, KeepAliveKind, MultiRegionOptions, MultiRegionReport, RegionSpec,
-    RetryKind, SchedulerKind,
+    run_multi_region_faulted, FaultPlan, Fleet, FleetArrival, FleetConfig, FleetFunction,
+    FleetReport, KeepAliveKind, MultiRegionOptions, MultiRegionReport, RegionSpec, RetryKind,
+    SchedulerKind,
 };
 use sizeless_obs::MemorySink;
 use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
@@ -149,21 +149,20 @@ fn main() {
     });
     let config = FleetConfig::new(4, 4096.0, duration_ms, ctx.seed);
     let fns = functions();
-    let run_retry = |retry: RetryKind| {
-        run_faulted_fleet(
+    let retry_fleet = |retry: RetryKind| {
+        Fleet::from_kinds(
             &platform,
             &config,
             &fns,
             SchedulerKind::WarmFirst,
             KeepAliveKind::Adaptive,
-            &transient_plan,
-            retry,
         )
+        .with_faults(&transient_plan, retry)
     };
     let retry_rows: Vec<RetryRow> = [("none", RetryKind::None), ("backoff", BACKOFF)]
         .into_iter()
         .map(|(policy, retry)| {
-            let report = run_retry(retry);
+            let report = retry_fleet(retry).run();
             RetryRow {
                 policy: policy.to_string(),
                 completed: report.counters.completed,
@@ -276,18 +275,15 @@ fn main() {
         plan
     };
     let run_masked = |plan: &FaultPlan| {
-        let default_ttl = platform.cold_start_model().idle_ttl_ms;
-        let fns = functions();
-        Fleet::new(
+        Fleet::from_kinds(
             &platform,
             &FleetConfig::new(2, 4096.0, duration_ms, ctx.seed),
-            &fns,
-            SchedulerKind::WarmFirst.build(),
-            KeepAliveKind::Adaptive.build(fns.len(), default_ttl),
+            &functions(),
+            SchedulerKind::WarmFirst,
+            KeepAliveKind::Adaptive,
         )
         .with_sizing(SizingService::new(sizer.clone(), service_cfg))
-        .with_faults(plan)
-        .with_retries(RetryKind::None)
+        .with_faults(plan, RetryKind::None)
         .run()
     };
     let mask_rows: Vec<MaskRow> = [("masked", true), ("unmasked", false)]
@@ -417,18 +413,9 @@ fn main() {
     // instrumentation must not perturb the run: the traced replay has to
     // reproduce the untraced report bit for bit.
     if let Some(path) = &ctx.trace {
-        let default_ttl = platform.cold_start_model().idle_ttl_ms;
-        let fleet = Fleet::new(
-            &platform,
-            &config,
-            &fns,
-            SchedulerKind::WarmFirst.build(),
-            KeepAliveKind::Adaptive.build(fns.len(), default_ttl),
-        )
-        .with_faults(&transient_plan)
-        .with_retries(BACKOFF)
-        .with_trace(MemorySink::new());
-        let (report, sink) = fleet.run_traced();
+        let (report, sink) = retry_fleet(BACKOFF)
+            .with_trace(MemorySink::new())
+            .run_traced();
         assert_eq!(report, retry_rows[1].report, "tracing perturbed the faulted run");
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir).expect("create trace dir");

@@ -20,8 +20,7 @@
 use serde::Serialize;
 use sizeless_bench::{pct, print_table, ExperimentContext};
 use sizeless_fleet::{
-    run_fleet_sweep, FleetArrival, FleetConfig, FleetFunction, FleetJob, KeepAliveKind,
-    SchedulerKind,
+    sweep, Fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
 };
 use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
 use sizeless_workload::{ArrivalProcess, BurstyArrival};
@@ -128,20 +127,13 @@ fn main() {
             }
         }
     }
-    let jobs: Vec<FleetJob> = cells
-        .iter()
-        .flat_map(|&(bursty, _, sched, ka)| {
-            seeds.iter().map(move |&seed| FleetJob {
-                config: FleetConfig::new(8, 2048.0, duration_ms, seed)
-                    .with_function_limit(12)
-                    .with_account_limit(32),
-                functions: functions(bursty),
-                scheduler: sched,
-                keepalive: ka,
-            })
-        })
-        .collect();
-    let reports = run_fleet_sweep(&platform, &jobs, ctx.thread_count());
+    let reports = sweep(ctx.thread_count(), cells.len() * seeds.len(), |i| {
+        let (bursty, _, sched, ka) = cells[i / seeds.len()];
+        let config = FleetConfig::new(8, 2048.0, duration_ms, seeds[i % seeds.len()])
+            .with_function_limit(12)
+            .with_account_limit(32);
+        Fleet::from_kinds(&platform, &config, &functions(bursty), sched, ka).run()
+    });
 
     let mut rows: Vec<SweepRow> = Vec::new();
     for (c, &(_, workload, sched, ka)) in cells.iter().enumerate() {

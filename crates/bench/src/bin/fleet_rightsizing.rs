@@ -29,10 +29,8 @@ use serde::Serialize;
 use sizeless_bench::{pct, print_table, ExperimentContext};
 use sizeless_core::service::{ServiceConfig, SizingService};
 use sizeless_core::trainer::TrainerConfig;
-use sizeless_engine::Simulation;
 use sizeless_fleet::{
-    run_fleet, run_rightsized_fleet, Fleet, FleetArrival, FleetConfig, FleetFunction, FleetReport,
-    KeepAliveKind, SchedulerKind,
+    Fleet, FleetArrival, FleetConfig, FleetFunction, FleetReport, KeepAliveKind, SchedulerKind,
 };
 use sizeless_obs::{trace_metrics, MemorySink};
 use sizeless_platform::{
@@ -190,21 +188,19 @@ fn main() {
         for &seed in &seeds {
             let config = FleetConfig::new(8, 8192.0, duration_ms, seed);
             let fns = functions(bursty);
-            let static_report = run_fleet(
-                &platform,
-                &config,
-                &fns,
-                SchedulerKind::WarmFirst,
-                KeepAliveKind::Adaptive,
-            );
-            let rightsized_report = run_rightsized_fleet(
-                &platform,
-                &config,
-                &fns,
-                SchedulerKind::WarmFirst,
-                KeepAliveKind::Adaptive,
-                SizingService::new(sizer.clone(), service_cfg),
-            );
+            let fleet = || {
+                Fleet::from_kinds(
+                    &platform,
+                    &config,
+                    &fns,
+                    SchedulerKind::WarmFirst,
+                    KeepAliveKind::Adaptive,
+                )
+            };
+            let static_report = fleet().run();
+            let rightsized_report = fleet()
+                .with_sizing(SizingService::new(sizer.clone(), service_cfg))
+                .run();
             let rs = rightsized_report
                 .rightsizing
                 .as_ref()
@@ -312,23 +308,16 @@ fn main() {
     // Tracing must not perturb the simulation: the traced replay has to
     // reproduce the untraced report bit for bit, or we abort.
     if ctx.trace.is_some() || ctx.metrics.is_some() {
-        let config = FleetConfig::new(8, 8192.0, duration_ms, ctx.seed);
-        let fns = functions(false);
-        let default_ttl = platform.cold_start_model().idle_ttl_ms;
-        let mut fleet = Fleet::new(
+        let (report, sink) = Fleet::from_kinds(
             &platform,
-            &config,
-            &fns,
-            SchedulerKind::WarmFirst.build(),
-            KeepAliveKind::Adaptive.build(fns.len(), default_ttl),
+            &FleetConfig::new(8, 8192.0, duration_ms, ctx.seed),
+            &functions(false),
+            SchedulerKind::WarmFirst,
+            KeepAliveKind::Adaptive,
         )
         .with_sizing(SizingService::new(sizer.clone(), service_cfg))
-        .with_trace(MemorySink::new());
-        let mut sim = Simulation::new();
-        fleet.prime(&mut sim);
-        sim.run_to_completion(&mut fleet);
-        let end_ms = sim.now().as_millis();
-        let (report, sink) = fleet.into_report_and_sink(&sim);
+        .with_trace(MemorySink::new())
+        .run_traced();
         assert_eq!(
             report, rows[0].rightsized_report,
             "tracing perturbed the closed-loop run"
@@ -344,7 +333,10 @@ fn main() {
             eprintln!("[trace] wrote {} events to {}", sink.len(), path.display());
         }
         if let Some(path) = &ctx.metrics {
-            write(path, trace_metrics(sink.records()).snapshot_json(end_ms));
+            write(
+                path,
+                trace_metrics(sink.records()).snapshot_json(report.horizon_ms),
+            );
             eprintln!("[metrics] wrote {}", path.display());
         }
     }

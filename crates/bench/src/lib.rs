@@ -217,7 +217,7 @@ impl ExperimentContext {
     }
 
     /// The `--faults` plan with the `--fault-seed` applied, ready to hand
-    /// to [`sizeless_fleet::run_faulted_fleet`] or
+    /// to [`Fleet::with_faults`](sizeless_fleet::Fleet::with_faults) or
     /// [`sizeless_fleet::run_multi_region_faulted`].
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.faults.clone().map(|p| p.with_seed(self.fault_seed))

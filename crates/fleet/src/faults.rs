@@ -160,14 +160,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan injects any fault at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.crash_process.is_none()
-            && self.transient.is_none()
-            && self.outages.is_empty()
-    }
-
     /// Adds a scheduled crash of `host` at `at_ms`, down for `down_ms`.
     ///
     /// # Panics
@@ -302,13 +294,6 @@ impl FaultPlan {
     pub fn without_drift_mask(mut self) -> Self {
         self.drift_mask = false;
         self
-    }
-
-    /// Whether `region` is inside a scheduled outage at `at_ms`.
-    pub fn outage_active(&self, region: usize, at_ms: f64) -> bool {
-        self.outages
-            .iter()
-            .any(|o| o.region == region && at_ms >= o.at_ms && at_ms < o.at_ms + o.down_ms)
     }
 
     /// Materializes the full crash schedule for a fleet of `hosts` hosts
@@ -724,7 +709,6 @@ mod tests {
         );
         assert!(!plan.failover);
         assert!(!plan.drift_mask);
-        assert!(!plan.is_empty());
     }
 
     #[test]
@@ -763,7 +747,6 @@ mod tests {
     #[test]
     fn empty_spec_is_the_empty_plan() {
         let plan = FaultPlan::parse("").unwrap();
-        assert!(plan.is_empty());
         assert_eq!(plan, FaultPlan::none());
     }
 
@@ -802,16 +785,6 @@ mod tests {
     fn scheduled_crashes_outside_the_fleet_are_dropped() {
         let plan = FaultPlan::none().with_crash(9, 100.0, 50.0);
         assert!(plan.materialize_crashes(2, 10_000.0).is_empty());
-    }
-
-    #[test]
-    fn outage_active_matches_the_window() {
-        let plan = FaultPlan::none().with_outage(1, 1_000.0, 500.0);
-        assert!(!plan.outage_active(1, 999.0));
-        assert!(plan.outage_active(1, 1_000.0));
-        assert!(plan.outage_active(1, 1_499.0));
-        assert!(!plan.outage_active(1, 1_500.0));
-        assert!(!plan.outage_active(0, 1_200.0));
     }
 
     /// The exponential policy the backoff tests share, with the varying

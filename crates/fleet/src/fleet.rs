@@ -1,4 +1,4 @@
-//! The fleet façade: an event-driven cluster simulation.
+//! The fleet: an event-driven cluster simulation.
 //!
 //! A [`Fleet`] drives a set of functions — each with its own arrival
 //! process — against a cluster of [`Host`]s on the engine's discrete-event
@@ -27,7 +27,7 @@
 use crate::faults::{FaultPlan, HostCrash, Recovery, RetryKind, TransientFaults};
 use crate::host::{Host, Placement};
 use crate::keepalive::{KeepAliveKind, KeepAlivePolicy};
-use crate::limits::{ConcurrencyLimits, ThrottleReason};
+use crate::limits::ConcurrencyLimits;
 use crate::scheduler::{Scheduler, SchedulerKind};
 use crate::stats::{FaultSummary, FleetReport, RightsizingReport};
 use sizeless_core::service::{
@@ -260,11 +260,6 @@ impl FleetConfig {
         }
     }
 
-    /// Returns a copy with a different seed.
-    pub fn with_seed(self, seed: u64) -> Self {
-        FleetConfig { seed, ..self }
-    }
-
     /// Returns a copy that re-checks invariants after every event.
     pub fn with_invariant_checks(self) -> Self {
         FleetConfig {
@@ -347,9 +342,10 @@ struct FaultState {
     /// Arrivals diverted during an outage, drained by the region driver.
     diverted: Vec<(f64, usize)>,
     summary: FaultSummary,
+    retry: RetryState,
 }
 
-/// Retry machinery installed by [`Fleet::with_retries`].
+/// The retry policy for failed attempts, installed with the fault plan.
 struct RetryState {
     kind: RetryKind,
     /// Retries each function has consumed, drawn down by a per-function
@@ -405,7 +401,6 @@ pub struct Fleet<S: TraceSink = NullSink> {
     sink: S,
     seed: u64,
     faults: Option<FaultState>,
-    retry: Option<RetryState>,
     /// Pending settle records referenced by [`FleetEvent::Settle`] slots.
     settles: SettleSlab,
     /// Registered workload-shift profiles referenced by
@@ -417,9 +412,33 @@ pub struct Fleet<S: TraceSink = NullSink> {
 }
 
 impl Fleet {
-    /// Assembles a fleet from explicit policy objects. Use
-    /// [`run_fleet`] when the built-in [`SchedulerKind`]/[`KeepAliveKind`]
-    /// policies suffice.
+    /// Assembles a fleet with the built-in placement and keep-alive
+    /// policies. The fixed and adaptive keep-alive windows are bounded by
+    /// the platform's idle TTL.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `functions` is empty.
+    pub fn from_kinds(
+        platform: &Platform,
+        config: &FleetConfig,
+        functions: &[FleetFunction],
+        scheduler: SchedulerKind,
+        keepalive: KeepAliveKind,
+    ) -> Self {
+        Fleet::new(
+            platform,
+            config,
+            functions,
+            scheduler.build(),
+            keepalive.build(functions.len(), platform.cold_start_model().idle_ttl_ms),
+        )
+    }
+
+    /// Assembles a fleet from explicit policy objects: the extension point
+    /// for a [`Scheduler`] or [`KeepAlivePolicy`] that is not one of the
+    /// built-in kinds, such as a decorator that times a built-in policy's
+    /// calls. [`Fleet::from_kinds`] builds the built-in policies.
     ///
     /// # Panics
     ///
@@ -476,7 +495,6 @@ impl Fleet {
             sink: NullSink,
             seed: config.seed,
             faults: None,
-            retry: None,
             settles: SettleSlab::default(),
             shifts: Vec::new(),
             queue: config.queue,
@@ -511,21 +529,15 @@ impl<S: TraceSink + 'static> Fleet<S> {
             sink,
             seed: self.seed,
             faults: self.faults,
-            retry: self.retry,
             settles: self.settles,
             shifts: self.shifts,
             queue: self.queue,
         }
     }
 
-    /// The trace sink (e.g. to export a collected trace).
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Mutable access to the trace sink — external drivers record
-    /// cross-fleet events (e.g. region handoffs) through this.
-    pub fn sink_mut(&mut self) -> &mut S {
+    /// Mutable access to the trace sink — the multi-region driver records
+    /// cross-fleet events (region handoffs and failovers) through this.
+    pub(crate) fn sink_mut(&mut self) -> &mut S {
         &mut self.sink
     }
 
@@ -557,14 +569,26 @@ impl<S: TraceSink + 'static> Fleet<S> {
         self
     }
 
-    /// Installs a fault plan: host crashes are materialized and scheduled
-    /// as simulation events by [`Fleet::prime`]; transient faults are
-    /// drawn per attempt. All fault randomness comes from streams derived
-    /// from the *plan's* seed, so installing a plan never perturbs the
-    /// run's arrival, execution, scheduler, or monitor streams — a
-    /// faulted run stays bit-reproducible, and an empty plan changes
-    /// nothing but the report's fault summary.
-    pub fn with_faults(mut self, plan: &FaultPlan) -> Self {
+    /// Installs a fault plan and the retry policy for the attempts it
+    /// fails: host crashes are materialized and scheduled as simulation
+    /// events by [`Fleet::prime`]; transient faults are drawn per attempt.
+    /// All fault randomness comes from streams derived from the *plan's*
+    /// seed, so installing a plan never perturbs the run's arrival,
+    /// execution, scheduler, or monitor streams — a faulted run stays
+    /// bit-reproducible, and an empty plan changes nothing but the
+    /// report's fault summary.
+    ///
+    /// Backoff jitter draws from a dedicated `"retry"` stream under the
+    /// fleet's master seed. A request awaiting backoff stays in flight and
+    /// keeps its concurrency slot; a capacity miss on a retry sheds the
+    /// request via the existing 429 path instead of queueing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an exponential backoff's parameters are out of range
+    /// (see [`RetryKind::ExponentialBackoff`]).
+    pub fn with_faults(mut self, plan: &FaultPlan, retry: RetryKind) -> Self {
+        retry.assert_valid();
         let crashes = plan.materialize_crashes(self.hosts.len(), self.duration_ms);
         self.faults = Some(FaultState {
             transient: plan.transient,
@@ -582,27 +606,12 @@ impl<S: TraceSink + 'static> Fleet<S> {
             failover: plan.failover,
             diverted: Vec::new(),
             summary: FaultSummary::default(),
-        });
-        self
-    }
-
-    /// Installs a retry policy for failed attempts. Backoff jitter draws
-    /// from a dedicated `"retry"` stream under the fleet's master seed.
-    /// A request awaiting backoff stays in flight and keeps its
-    /// concurrency slot; a capacity miss on a retry sheds the request via
-    /// the existing 429 path instead of queueing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an exponential backoff's parameters are out of range
-    /// (see [`RetryKind::ExponentialBackoff`]).
-    pub fn with_retries(mut self, kind: RetryKind) -> Self {
-        kind.assert_valid();
-        self.retry = Some(RetryState {
-            kind,
-            spent: Vec::new(),
-            rng: RngStream::from_seed(self.seed, "fleet").derive("retry"),
-            pending: 0,
+            retry: RetryState {
+                kind: retry,
+                spent: Vec::new(),
+                rng: RngStream::from_seed(self.seed, "fleet").derive("retry"),
+                pending: 0,
+            },
         });
         self
     }
@@ -639,12 +648,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
         }
         self.counters.submitted += 1;
         self.keepalive.observe_arrival(fn_id, now_ms);
-        if let Err(reason) = self.limits.try_acquire(fn_id) {
-            let cause = match reason {
-                ThrottleReason::FunctionLimit => ThrottleCause::Function,
-                ThrottleReason::AccountLimit => ThrottleCause::Account,
-                ThrottleReason::CapacityExhausted => ThrottleCause::Capacity,
-            };
+        if let Err(cause) = self.limits.try_acquire(fn_id) {
             self.throttle(now_ms, fn_id, cause);
             return;
         }
@@ -657,9 +661,9 @@ impl<S: TraceSink + 'static> Fleet<S> {
     /// concurrency slot either way.
     fn start_attempt(&mut self, sim: &mut FleetSim<S>, fn_id: usize, attempt: usize, now_ms: f64) {
         if attempt > 1 {
-            // lint: allow(panic002) reason="retry attempts are only scheduled by fail_attempt, which requires retry state"
-            let r = self.retry.as_mut().expect("retry attempt without retry state");
-            r.pending -= 1;
+            // lint: allow(panic002) reason="retry attempts are only scheduled by fail_attempt, which requires a fault plan"
+            let f = self.faults.as_mut().expect("retry attempt without a fault plan");
+            f.retry.pending -= 1;
         }
         // Per-invocation routing hook: while a function shadow-re-measures,
         // the service sends every period-th dispatch to the base size.
@@ -880,13 +884,9 @@ impl<S: TraceSink + 'static> Fleet<S> {
             },
         );
         let next = done.attempt + 1;
-        let backoff = match self.retry.as_mut() {
-            Some(r) => r.kind.backoff_ms(&mut r.spent, done.fn_id, next, &mut r.rng),
-            None => None,
-        };
-        if let Some(delay_ms) = backoff {
-            // lint: allow(panic002) reason="backoff is only Some when a retry policy is installed"
-            let r = self.retry.as_mut().expect("backoff implies a retry policy");
+        // lint: allow(panic002) reason="attempts fail only by a crash or a transient fault, both of which need a fault plan"
+        let r = &mut self.faults.as_mut().expect("failed attempts imply faults").retry;
+        if let Some(delay_ms) = r.kind.backoff_ms(&mut r.spent, done.fn_id, next, &mut r.rng) {
             r.pending += 1;
             self.counters.retries_scheduled += 1;
             self.sink.record(
@@ -1172,37 +1172,27 @@ impl<S: TraceSink + 'static> Fleet<S> {
         }
     }
 
-    /// Applies an in-place workload shift: `fn_id`'s resource profile is
-    /// replaced (its deployed memory size is kept) so subsequent
-    /// invocations draw from the new behavior — the genuine drift the
-    /// online sizing loop exists to notice. External drivers (the
-    /// multi-region runner) schedule this as a simulation event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fn_id` is out of range.
-    pub fn shift_profile(&mut self, fn_id: usize, profile: ResourceProfile) {
+    /// Registers a workload shift for event-driven application and returns
+    /// the slot to embed in a [`FleetEvent::ShiftProfile`] event. The
+    /// multi-region driver registers shifts up front, then schedules the
+    /// event at the shift time.
+    pub(crate) fn register_shift(&mut self, fn_id: usize, profile: ResourceProfile) -> u32 {
+        self.shifts.push((fn_id, profile));
+        (self.shifts.len() - 1) as u32
+    }
+
+    /// Applies a shift registered with [`Fleet::register_shift`]: the
+    /// function's resource profile is replaced (its deployed memory size
+    /// is kept) so subsequent invocations draw from the new behavior — the
+    /// genuine drift the online sizing loop exists to notice.
+    fn apply_shift(&mut self, slot: u32) {
+        let (fn_id, profile) = self.shifts[slot as usize].clone();
         let memory = self.functions[fn_id].config.memory();
         self.plans[fn_id] = self.platform.plan(&profile, memory);
         if let Some(s) = &mut self.sizing {
             s.base_plans[fn_id] = self.platform.plan(&profile, s.service.base());
         }
         self.functions[fn_id].config = FunctionConfig::new(profile, memory);
-    }
-
-    /// Registers a workload shift for event-driven application and returns
-    /// the slot to embed in a [`FleetEvent::ShiftProfile`] event. External
-    /// drivers register shifts up front, then schedule the event at the
-    /// shift time.
-    pub fn register_shift(&mut self, fn_id: usize, profile: ResourceProfile) -> u32 {
-        self.shifts.push((fn_id, profile));
-        (self.shifts.len() - 1) as u32
-    }
-
-    /// Applies a shift registered with [`Fleet::register_shift`].
-    fn apply_shift(&mut self, slot: u32) {
-        let (fn_id, profile) = self.shifts[slot as usize].clone();
-        self.shift_profile(fn_id, profile);
     }
 
     fn on_arrival(sim: &mut FleetSim<S>, fleet: &mut Self, fn_id: usize) {
@@ -1229,7 +1219,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
     /// # Panics
     ///
     /// Panics on any violation.
-    pub fn assert_invariants(&mut self, now_ms: f64) {
+    pub(crate) fn assert_invariants(&mut self, now_ms: f64) {
         assert!(
             self.counters.is_conserved(),
             "conservation violated: {:?}",
@@ -1245,7 +1235,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
         // (they fail at their settle event), or are waiting out a retry
         // backoff while still holding their limit slot.
         let crash_zombies = self.faults.as_ref().map_or(0, |f| f.crash_zombies);
-        let retry_pending = self.retry.as_ref().map_or(0, |r| r.pending);
+        let retry_pending = self.faults.as_ref().map_or(0, |f| f.retry.pending);
         assert_eq!(
             self.counters.in_flight,
             host_in_flight + crash_zombies + retry_pending,
@@ -1383,74 +1373,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
     }
 }
 
-/// Runs a fleet with built-in policies — the one-call façade.
-pub fn run_fleet(
-    platform: &Platform,
-    config: &FleetConfig,
-    functions: &[FleetFunction],
-    scheduler: SchedulerKind,
-    keepalive: KeepAliveKind,
-) -> FleetReport {
-    let default_ttl = platform.cold_start_model().idle_ttl_ms;
-    Fleet::new(
-        platform,
-        config,
-        functions,
-        scheduler.build(),
-        keepalive.build(functions.len(), default_ttl),
-    )
-    .run()
-}
-
-/// Runs a **closed-loop** fleet: built-in policies plus an embedded
-/// [`SizingService`] whose resize directives are applied at runtime. The
-/// report's [`FleetReport::rightsizing`] section carries the
-/// before/after-resize accounting.
-pub fn run_rightsized_fleet(
-    platform: &Platform,
-    config: &FleetConfig,
-    functions: &[FleetFunction],
-    scheduler: SchedulerKind,
-    keepalive: KeepAliveKind,
-    service: SizingService,
-) -> FleetReport {
-    let default_ttl = platform.cold_start_model().idle_ttl_ms;
-    Fleet::new(
-        platform,
-        config,
-        functions,
-        scheduler.build(),
-        keepalive.build(functions.len(), default_ttl),
-    )
-    .with_sizing(service)
-    .run()
-}
-
-/// Runs a fleet under a fault plan with a retry policy — the one-call
-/// façade for resilience experiments. The report's
-/// [`FleetReport::faults`] section summarizes crashes and failovers.
-pub fn run_faulted_fleet(
-    platform: &Platform,
-    config: &FleetConfig,
-    functions: &[FleetFunction],
-    scheduler: SchedulerKind,
-    keepalive: KeepAliveKind,
-    plan: &FaultPlan,
-    retry: RetryKind,
-) -> FleetReport {
-    let default_ttl = platform.cold_start_model().idle_ttl_ms;
-    Fleet::new(
-        platform,
-        config,
-        functions,
-        scheduler.build(),
-        keepalive.build(functions.len(), default_ttl),
-    )
-    .with_faults(plan)
-    .with_retries(retry)
-    .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1481,13 +1403,14 @@ mod tests {
 
     #[test]
     fn fleet_conserves_requests() {
-        let report = run_fleet(
+        let report = Fleet::from_kinds(
             &Platform::aws_like(),
             &config(),
             &functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-        );
+        )
+        .run();
         assert!(report.counters.is_conserved());
         assert_eq!(report.counters.in_flight, 0);
         assert!(report.counters.submitted > 100, "{:?}", report.counters);
@@ -1498,13 +1421,14 @@ mod tests {
     #[test]
     fn fleet_runs_are_deterministic() {
         let run = || {
-            run_fleet(
+            Fleet::from_kinds(
                 &Platform::aws_like(),
                 &config(),
                 &functions(),
                 SchedulerKind::Random,
                 KeepAliveKind::Adaptive,
             )
+            .run()
         };
         assert_eq!(run(), run());
     }
@@ -1512,45 +1436,52 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let platform = Platform::aws_like();
-        let a = run_fleet(
+        let a = Fleet::from_kinds(
             &platform,
             &config(),
             &functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-        );
-        let b = run_fleet(
+        )
+        .run();
+        let b = Fleet::from_kinds(
             &platform,
-            &config().with_seed(8),
+            &FleetConfig {
+                seed: 8,
+                ..config()
+            },
             &functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-        );
+        )
+        .run();
         assert_ne!(a.counters.submitted, b.counters.submitted);
     }
 
     #[test]
     fn function_limit_throttles() {
-        let report = run_fleet(
+        let report = Fleet::from_kinds(
             &Platform::aws_like(),
             &config().with_function_limit(1),
             &functions(),
             SchedulerKind::LeastLoaded,
             KeepAliveKind::FixedTtl,
-        );
+        )
+        .run();
         assert!(report.counters.throttled_function > 0);
         assert!(report.counters.is_conserved());
     }
 
     #[test]
     fn account_limit_throttles() {
-        let report = run_fleet(
+        let report = Fleet::from_kinds(
             &Platform::aws_like(),
             &config().with_account_limit(2),
             &functions(),
             SchedulerKind::LeastLoaded,
             KeepAliveKind::FixedTtl,
-        );
+        )
+        .run();
         assert!(report.counters.throttled_account > 0);
         assert!(report.counters.is_conserved());
     }
@@ -1558,13 +1489,14 @@ mod tests {
     #[test]
     fn tiny_cluster_throttles_for_capacity() {
         let cfg = FleetConfig::new(1, 512.0, 20_000.0, 7).with_invariant_checks();
-        let report = run_fleet(
+        let report = Fleet::from_kinds(
             &Platform::aws_like(),
             &cfg,
             &functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-        );
+        )
+        .run();
         assert!(report.counters.throttled_capacity > 0);
         assert!(report.counters.is_conserved());
     }
@@ -1572,20 +1504,22 @@ mod tests {
     #[test]
     fn no_keepalive_pays_more_cold_starts_than_fixed() {
         let platform = Platform::aws_like();
-        let none = run_fleet(
+        let none = Fleet::from_kinds(
             &platform,
             &config(),
             &functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::NoKeepAlive,
-        );
-        let fixed = run_fleet(
+        )
+        .run();
+        let fixed = Fleet::from_kinds(
             &platform,
             &config(),
             &functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-        );
+        )
+        .run();
         assert!(
             none.metrics.cold_start_rate > 2.0 * fixed.metrics.cold_start_rate,
             "no-keepalive {} vs fixed {}",
@@ -1645,14 +1579,15 @@ mod tests {
     fn closed_loop_fleet_recommends_resizes_and_stays_consistent() {
         let platform = Platform::aws_like();
         let config = FleetConfig::new(4, 4096.0, 25_000.0, 5).with_invariant_checks();
-        let report = run_rightsized_fleet(
+        let report = Fleet::from_kinds(
             &platform,
             &config,
             &closed_loop_functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-            quick_service(60),
-        );
+        )
+        .with_sizing(quick_service(60))
+        .run();
         assert!(report.counters.is_conserved());
         assert_eq!(report.counters.in_flight, 0);
         let rs = report.rightsizing.as_ref().expect("closed loop reports");
@@ -1685,14 +1620,15 @@ mod tests {
         let platform = Platform::aws_like();
         let config = FleetConfig::new(2, 4096.0, 15_000.0, 9);
         let run = || {
-            run_rightsized_fleet(
+            Fleet::from_kinds(
                 &platform,
                 &config,
                 &closed_loop_functions(),
                 SchedulerKind::WarmFirst,
                 KeepAliveKind::Adaptive,
-                quick_service(50),
             )
+            .with_sizing(quick_service(50))
+            .run()
         };
         assert_eq!(run(), run());
     }
@@ -1702,14 +1638,13 @@ mod tests {
         use sizeless_obs::MemorySink;
         let platform = Platform::aws_like();
         let config = FleetConfig::new(4, 4096.0, 25_000.0, 5);
-        let default_ttl = platform.cold_start_model().idle_ttl_ms;
         let run = || {
-            let fleet = Fleet::new(
+            let fleet = Fleet::from_kinds(
                 &platform,
                 &config,
                 &closed_loop_functions(),
-                SchedulerKind::WarmFirst.build(),
-                KeepAliveKind::FixedTtl.build(2, default_ttl),
+                SchedulerKind::WarmFirst,
+                KeepAliveKind::FixedTtl,
             )
             .with_sizing(quick_service(60))
             .with_trace(MemorySink::new());
@@ -1735,16 +1670,17 @@ mod tests {
         }
 
         // Tracing must not perturb the simulation: the traced report
-        // matches the untraced facade bit for bit, and a repeated traced
+        // matches the untraced run bit for bit, and a repeated traced
         // run exports a byte-identical JSONL log.
-        let untraced = run_rightsized_fleet(
+        let untraced = Fleet::from_kinds(
             &platform,
             &config,
             &closed_loop_functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-            quick_service(60),
-        );
+        )
+        .with_sizing(quick_service(60))
+        .run();
         assert_eq!(report, untraced);
         let (_, sink2) = run();
         assert_eq!(sink.to_jsonl(), sink2.to_jsonl());
@@ -1753,13 +1689,14 @@ mod tests {
 
     #[test]
     fn static_fleet_reports_no_rightsizing_section() {
-        let report = run_fleet(
+        let report = Fleet::from_kinds(
             &Platform::aws_like(),
             &config(),
             &functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-        );
+        )
+        .run();
         assert!(report.rightsizing.is_none());
     }
 
@@ -1768,13 +1705,14 @@ mod tests {
         // The harness is the one-host, no-limit special case: everything
         // completes, nothing throttles.
         let cfg = FleetConfig::new(1, 1_000_000.0, 20_000.0, 3).with_invariant_checks();
-        let report = run_fleet(
+        let report = Fleet::from_kinds(
             &Platform::aws_like(),
             &cfg,
             &functions()[..1],
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-        );
+        )
+        .run();
         assert_eq!(report.counters.throttled(), 0);
         assert_eq!(report.counters.submitted, report.counters.completed);
     }
@@ -1782,15 +1720,15 @@ mod tests {
     #[test]
     fn transient_faults_fail_requests_without_retries() {
         let plan = FaultPlan::none().with_transient(0.1, 0.15, 0.5).with_seed(3);
-        let report = run_faulted_fleet(
+        let report = Fleet::from_kinds(
             &Platform::aws_like(),
             &config(),
             &functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-            &plan,
-            RetryKind::None,
-        );
+        )
+        .with_faults(&plan, RetryKind::None)
+        .run();
         assert!(report.counters.failed > 0, "{:?}", report.counters);
         assert!(report.counters.completed > 0);
         assert!(report.counters.is_conserved());
@@ -1805,15 +1743,15 @@ mod tests {
     fn retries_recover_requests_that_no_retry_loses() {
         let plan = FaultPlan::none().with_transient(0.1, 0.15, 0.5).with_seed(3);
         let run = |retry: RetryKind| {
-            run_faulted_fleet(
+            Fleet::from_kinds(
                 &Platform::aws_like(),
                 &config(),
                 &functions(),
                 SchedulerKind::WarmFirst,
                 KeepAliveKind::FixedTtl,
-                &plan,
-                retry,
             )
+            .with_faults(&plan, retry)
+            .run()
         };
         let bare = run(RetryKind::None);
         let backed = run(RetryKind::ExponentialBackoff {
@@ -1838,23 +1776,25 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "jitter fraction must be in [0, 1]")]
-    fn with_retries_rejects_an_out_of_range_backoff() {
-        let platform = Platform::aws_like();
-        let _ = Fleet::new(
-            &platform,
+    fn with_faults_rejects_an_out_of_range_backoff() {
+        let _ = Fleet::from_kinds(
+            &Platform::aws_like(),
             &config(),
             &functions(),
-            SchedulerKind::WarmFirst.build(),
-            KeepAliveKind::FixedTtl.build(2, platform.cold_start_model().idle_ttl_ms),
+            SchedulerKind::WarmFirst,
+            KeepAliveKind::FixedTtl,
         )
-        .with_retries(RetryKind::ExponentialBackoff {
-            base_ms: 50.0,
-            factor: 2.0,
-            cap_ms: 2_000.0,
-            max_attempts: 4,
-            jitter_frac: 1.5,
-            budget_per_fn: None,
-        });
+        .with_faults(
+            &FaultPlan::none(),
+            RetryKind::ExponentialBackoff {
+                base_ms: 50.0,
+                factor: 2.0,
+                cap_ms: 2_000.0,
+                max_attempts: 4,
+                jitter_frac: 1.5,
+                budget_per_fn: None,
+            },
+        );
     }
 
     #[test]
@@ -1866,15 +1806,15 @@ mod tests {
             .with_crash(1, 9_000.0, 1_500.0)
             .with_recovery(3_000.0, 2.0)
             .with_seed(11);
-        let report = run_faulted_fleet(
+        let report = Fleet::from_kinds(
             &Platform::aws_like(),
             &config(),
             &functions(),
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-            &plan,
-            RetryKind::Fixed { max_attempts: 3, delay_ms: 100.0 },
-        );
+        )
+        .with_faults(&plan, RetryKind::Fixed { max_attempts: 3, delay_ms: 100.0 })
+        .run();
         let faults = report.faults.expect("fault plans report a summary");
         assert_eq!(faults.host_crashes, 2);
         assert!(report.counters.is_conserved());
@@ -1899,15 +1839,15 @@ mod tests {
             .with_recovery(10_000.0, 3.0)
             .with_seed(5);
         let platform = Platform::aws_like();
-        let report = run_faulted_fleet(
+        let report = Fleet::from_kinds(
             &platform,
             &FleetConfig::new(1, 4096.0, 20_000.0, 3).with_invariant_checks(),
             &functions,
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-            &plan,
-            RetryKind::None,
-        );
+        )
+        .with_faults(&plan, RetryKind::None)
+        .run();
         assert_eq!(report.faults.expect("fault plans report a summary").host_crashes, 1);
         // About 200 of the completions fall in the recovery window.
         assert!(report.counters.completed > 300, "{:?}", report.counters);
@@ -1926,12 +1866,14 @@ mod tests {
             .with_recovery(2_000.0, 1.5)
             .with_seed(21);
         let run = || {
-            run_faulted_fleet(
+            Fleet::from_kinds(
                 &Platform::aws_like(),
                 &config(),
                 &functions(),
                 SchedulerKind::Random,
                 KeepAliveKind::Adaptive,
+            )
+            .with_faults(
                 &plan,
                 RetryKind::ExponentialBackoff {
                     base_ms: 100.0,
@@ -1942,6 +1884,7 @@ mod tests {
                     budget_per_fn: Some(64),
                 },
             )
+            .run()
         };
         assert_eq!(run(), run());
     }

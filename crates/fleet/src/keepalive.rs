@@ -87,6 +87,15 @@ impl KeepAlivePolicy for FixedTtl {
 const GAP_HISTORY: usize = 128;
 /// Observations required before the policy trusts its histogram.
 const MIN_OBSERVATIONS: usize = 8;
+/// The adaptive policy's shortest window, ms.
+const MIN_TTL_MS: f64 = 250.0;
+/// The inter-arrival gap quantile the adaptive window covers.
+const GAP_QUANTILE: f64 = 0.95;
+/// The margin the adaptive window adds on top of the gap quantile.
+const GAP_MARGIN: f64 = 1.5;
+/// How many init times the gap quantile may span before keeping an
+/// instance warm costs more than the cold starts it avoids.
+const KEEP_FACTOR: f64 = 5.0;
 
 #[derive(Debug, Clone, Default)]
 struct FnHistory {
@@ -139,23 +148,19 @@ impl FnHistory {
 ///
 /// Until a function has `MIN_OBSERVATIONS` (8) gaps, the policy stays
 /// conservative and uses `max_ttl_ms` (the fixed-TTL behaviour). After
-/// that the candidate window is `margin × q-quantile(gaps)`, clamped to
-/// `[min_ttl_ms, max_ttl_ms]`. A cost check then compares the candidate
+/// that the candidate window is 1.5 × the 95th-percentile gap, clamped to
+/// `[250 ms, max_ttl_ms]`. A cost check then compares the candidate
 /// against the function's observed mean initialization time: when the
-/// quantile gap exceeds `keep_factor ×` the init estimate, covering it
-/// would waste more memory-time idling than the avoided cold start costs,
-/// so the policy falls back to a ski-rental window equal to the init
-/// estimate itself (pay at most one init's worth of idle before giving
-/// up — the classic 2-competitive choice). Sparse functions thus converge
+/// quantile gap exceeds 5 × the init estimate, covering it would waste
+/// more memory-time idling than the avoided cold start costs, so the
+/// policy falls back to a ski-rental window equal to the init estimate
+/// itself (pay at most one init's worth of idle before giving up — the
+/// classic 2-competitive choice). Sparse functions thus converge
 /// toward no-keepalive while hot ones stay warm, which is what lets the
 /// policy dominate both fixed baselines on resource footprint.
 #[derive(Debug, Clone)]
 pub struct AdaptiveKeepAlive {
-    min_ttl_ms: f64,
     max_ttl_ms: f64,
-    quantile: f64,
-    margin: f64,
-    keep_factor: f64,
     histories: Vec<FnHistory>,
     /// Running mean of observed init times per function; 0 = none seen.
     init_est_ms: Vec<f64>,
@@ -173,36 +178,12 @@ impl AdaptiveKeepAlive {
     ///
     /// Panics unless `max_ttl_ms >= 250`.
     pub fn new(functions: usize, max_ttl_ms: f64) -> Self {
-        Self::with_parameters(functions, 250.0, max_ttl_ms, 0.95, 1.5, 5.0)
-    }
-
-    /// Fully parameterized constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < min_ttl_ms <= max_ttl_ms`, `quantile` is in
-    /// `(0, 1]`, `margin >= 1`, and `keep_factor > 0`.
-    pub fn with_parameters(
-        functions: usize,
-        min_ttl_ms: f64,
-        max_ttl_ms: f64,
-        quantile: f64,
-        margin: f64,
-        keep_factor: f64,
-    ) -> Self {
         assert!(
-            min_ttl_ms > 0.0 && min_ttl_ms <= max_ttl_ms,
-            "need 0 < min_ttl <= max_ttl"
+            max_ttl_ms >= MIN_TTL_MS,
+            "the max TTL must be at least the 250 ms floor"
         );
-        assert!(quantile > 0.0 && quantile <= 1.0, "quantile must be in (0, 1]");
-        assert!(margin >= 1.0, "margin must be >= 1");
-        assert!(keep_factor > 0.0, "keep_factor must be positive");
         AdaptiveKeepAlive {
-            min_ttl_ms,
             max_ttl_ms,
-            quantile,
-            margin,
-            keep_factor,
             histories: vec![FnHistory::default(); functions],
             init_est_ms: vec![0.0; functions],
             init_count: vec![0; functions],
@@ -227,20 +208,20 @@ impl KeepAlivePolicy for AdaptiveKeepAlive {
         // Ski-rental window: pay at most ~one init's worth of idle before
         // giving an instance up (2-competitive without gap knowledge).
         let ski_rental = if init > 0.0 {
-            init.clamp(self.min_ttl_ms, self.max_ttl_ms)
+            init.clamp(MIN_TTL_MS, self.max_ttl_ms)
         } else {
             self.max_ttl_ms
         };
         if h.gaps.len() < MIN_OBSERVATIONS {
             return ski_rental;
         }
-        let gap_q = h.quantile(self.quantile);
-        if init > 0.0 && gap_q > self.keep_factor * init {
+        let gap_q = h.quantile(GAP_QUANTILE);
+        if init > 0.0 && gap_q > KEEP_FACTOR * init {
             // Covering the gap quantile costs more idle memory-time than
             // the cold starts it avoids.
             ski_rental
         } else {
-            (self.margin * gap_q).clamp(self.min_ttl_ms, self.max_ttl_ms)
+            (GAP_MARGIN * gap_q).clamp(MIN_TTL_MS, self.max_ttl_ms)
         }
     }
 

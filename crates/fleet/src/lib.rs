@@ -17,15 +17,18 @@
 //!   no-keepalive, fixed idle TTL, and a histogram-based adaptive policy.
 //! * [`limits`] — per-function and account-wide concurrency caps with
 //!   429-style throttling.
-//! * [`fleet`] — the façade: [`run_fleet`] wires arrivals (Poisson or
+//! * [`fleet`] — the [`Fleet`]: [`Fleet::from_kinds`] assembles one from
+//!   the built-in policies, and [`Fleet::run`] wires arrivals (Poisson or
 //!   bursty, from `sizeless_workload`) through limits, scheduler, hosts,
-//!   and completions, entirely as simulation events;
-//!   [`run_rightsized_fleet`] additionally embeds an online
+//!   and completions, entirely as simulation events.
+//!   [`Fleet::with_sizing`] additionally embeds an online
 //!   [`SizingService`](sizeless_core::service::SizingService) whose resize
 //!   directives are applied to the live cluster (old-size warm instances
 //!   drain through the hosts' generational pools, new cold starts pay the
 //!   new size's scaling laws and pricing) — the paper's offline/online
-//!   loop, closed at fleet scale.
+//!   loop, closed at fleet scale. [`Fleet::with_faults`] installs a fault
+//!   plan with its retry policy, and [`Fleet::with_trace`] records every
+//!   lifecycle event into a trace sink.
 //! * [`stats`] — the [`FleetReport`]: raw
 //!   [`FleetCounters`](sizeless_telemetry::FleetCounters) plus derived
 //!   [`FleetMetrics`](sizeless_telemetry::FleetMetrics), and the
@@ -61,13 +64,14 @@
 //!
 //! // 4 hosts × 2 GB, 10 s of traffic, a per-function concurrency cap of 16.
 //! let config = FleetConfig::new(4, 2048.0, 10_000.0, 0).with_function_limit(16);
-//! let report = run_fleet(
+//! let report = Fleet::from_kinds(
 //!     &platform,
 //!     &config,
 //!     &functions,
 //!     SchedulerKind::WarmFirst,
 //!     KeepAliveKind::Adaptive,
-//! );
+//! )
+//! .run();
 //!
 //! // Every request is accounted for: completed, in flight, or throttled.
 //! assert!(report.counters.is_conserved());
@@ -91,15 +95,12 @@ pub mod sweep;
 /// Re-exports of the most used fleet items.
 pub mod prelude {
     pub use crate::faults::{FaultPlan, RetryKind};
-    pub use crate::fleet::{
-        run_faulted_fleet, run_fleet, run_rightsized_fleet, Fleet, FleetArrival, FleetConfig,
-        FleetEvent, FleetFunction, FleetSim,
-    };
+    pub use crate::fleet::{Fleet, FleetArrival, FleetConfig, FleetEvent, FleetFunction, FleetSim};
     pub use crate::host::{Host, Placement};
     pub use crate::keepalive::{
         AdaptiveKeepAlive, FixedTtl, KeepAliveKind, KeepAlivePolicy, NoKeepAlive,
     };
-    pub use crate::limits::{ConcurrencyLimits, ThrottleReason};
+    pub use crate::limits::ConcurrencyLimits;
     pub use crate::region::{
         run_multi_region, run_multi_region_faulted, MultiRegionOptions, MultiRegionReport,
         RegionReport, RegionSpec, WorkloadShift,
@@ -108,21 +109,18 @@ pub mod prelude {
         LeastLoaded, RandomFit, RoundRobin, Scheduler, SchedulerKind, WarmFirst,
     };
     pub use crate::stats::{FaultSummary, FleetReport, RightsizingReport};
-    pub use crate::sweep::{run_fleet_sweep, sweep, FleetJob};
+    pub use crate::sweep::sweep;
 }
 
 pub use faults::{FaultPlan, RetryKind};
-pub use fleet::{
-    run_faulted_fleet, run_fleet, run_rightsized_fleet, Fleet, FleetArrival, FleetConfig,
-    FleetEvent, FleetFunction, FleetSim,
-};
+pub use fleet::{Fleet, FleetArrival, FleetConfig, FleetEvent, FleetFunction, FleetSim};
 pub use host::{Host, Placement};
 pub use keepalive::{AdaptiveKeepAlive, FixedTtl, KeepAliveKind, KeepAlivePolicy, NoKeepAlive};
-pub use limits::{ConcurrencyLimits, ThrottleReason};
+pub use limits::ConcurrencyLimits;
 pub use region::{
     run_multi_region, run_multi_region_faulted, run_multi_region_faulted_traced,
     MultiRegionOptions, MultiRegionReport, RegionReport, RegionSpec, WorkloadShift,
 };
 pub use scheduler::{LeastLoaded, RandomFit, RoundRobin, Scheduler, SchedulerKind, WarmFirst};
 pub use stats::{FaultSummary, FleetReport, RightsizingReport};
-pub use sweep::{run_fleet_sweep, sweep, FleetJob};
+pub use sweep::sweep;

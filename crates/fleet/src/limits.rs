@@ -2,17 +2,7 @@
 //! throttling, modelled on Lambda's reserved/account concurrency.
 
 use serde::{Deserialize, Serialize};
-
-/// Why a request was rejected with a 429.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ThrottleReason {
-    /// The function's own concurrency limit was exhausted.
-    FunctionLimit,
-    /// The account-wide concurrency limit was exhausted.
-    AccountLimit,
-    /// No host could place (or reuse) an instance for the request.
-    CapacityExhausted,
-}
+use sizeless_obs::ThrottleCause;
 
 /// In-flight bookkeeping against per-function and account-wide caps.
 ///
@@ -53,15 +43,15 @@ impl ConcurrencyLimits {
 
     /// Reserves one slot for an invocation of `fn_id`, or reports which
     /// limit rejected it.
-    pub fn try_acquire(&mut self, fn_id: usize) -> Result<(), ThrottleReason> {
+    pub fn try_acquire(&mut self, fn_id: usize) -> Result<(), ThrottleCause> {
         if self
             .function_limit
             .is_some_and(|cap| self.per_function[fn_id] >= cap)
         {
-            return Err(ThrottleReason::FunctionLimit);
+            return Err(ThrottleCause::Function);
         }
         if self.account_limit.is_some_and(|cap| self.total >= cap) {
-            return Err(ThrottleReason::AccountLimit);
+            return Err(ThrottleCause::Account);
         }
         self.per_function[fn_id] += 1;
         self.total += 1;
@@ -109,7 +99,7 @@ mod tests {
         let mut l = ConcurrencyLimits::new(2, Some(2), None);
         assert!(l.try_acquire(0).is_ok());
         assert!(l.try_acquire(0).is_ok());
-        assert_eq!(l.try_acquire(0), Err(ThrottleReason::FunctionLimit));
+        assert_eq!(l.try_acquire(0), Err(ThrottleCause::Function));
         // The other function has its own cap.
         assert!(l.try_acquire(1).is_ok());
         l.release(0);
@@ -122,7 +112,7 @@ mod tests {
         let mut l = ConcurrencyLimits::new(3, None, Some(2));
         assert!(l.try_acquire(0).is_ok());
         assert!(l.try_acquire(1).is_ok());
-        assert_eq!(l.try_acquire(2), Err(ThrottleReason::AccountLimit));
+        assert_eq!(l.try_acquire(2), Err(ThrottleCause::Account));
         l.release(1);
         assert!(l.try_acquire(2).is_ok());
     }
@@ -131,7 +121,7 @@ mod tests {
     fn function_limit_checked_before_account() {
         let mut l = ConcurrencyLimits::new(1, Some(1), Some(1));
         assert!(l.try_acquire(0).is_ok());
-        assert_eq!(l.try_acquire(0), Err(ThrottleReason::FunctionLimit));
+        assert_eq!(l.try_acquire(0), Err(ThrottleCause::Function));
     }
 
     #[test]

@@ -234,7 +234,6 @@ where
             );
         }
     }
-    let default_ttl = platform.cold_start_model().idle_ttl_ms;
     let mut fleets: Vec<Fleet<S>> = regions
         .iter()
         .enumerate()
@@ -248,12 +247,12 @@ where
                     spec.functions.len()
                 );
             }
-            let mut fleet = Fleet::new(
+            let mut fleet = Fleet::from_kinds(
                 platform,
                 &spec.config,
                 &spec.functions,
-                opts.scheduler.build(),
-                opts.keepalive.build(spec.functions.len(), default_ttl),
+                opts.scheduler,
+                opts.keepalive,
             )
             .with_sizing(plane.handle(opts.service, opts.remeasure))
             .with_trace(make_sink(i));
@@ -261,7 +260,7 @@ where
                 // Regions draw independent fault streams: same plan, seed
                 // diversified by the (stable) region name.
                 let region_plan = (*plan).clone().with_seed(plan.seed ^ fnv1a(&spec.name));
-                fleet = fleet.with_faults(&region_plan).with_retries(*retry);
+                fleet = fleet.with_faults(&region_plan, *retry);
             }
             fleet
         })
@@ -378,7 +377,7 @@ mod tests {
     use super::*;
     use crate::fleet::FleetArrival;
     use sizeless_core::dataset::DatasetConfig;
-    use sizeless_core::service::{AdaptationKind, FineTuneConfig};
+    use sizeless_core::service::{AdaptationKind, FineTuneConfig, SizingService};
     use sizeless_core::trainer::{TrainedSizer, Trainer, TrainerConfig};
     use sizeless_platform::{FunctionConfig, MemorySize, Stage};
     use sizeless_workload::ArrivalProcess;
@@ -475,6 +474,35 @@ mod tests {
         // Every recommendation of every region was served by the one plane.
         assert_eq!(report.plane.recommendations, recommendations);
         assert!(recommendations >= 4, "both regions fill windows: {report:?}");
+    }
+
+    #[test]
+    fn one_region_reports_exactly_what_its_fleet_reports() {
+        // A single region is the merged loop's N = 1 case. Faults stay out:
+        // the region runner derives each region's fault seed from its name.
+        let platform = Platform::aws_like();
+        let sizer = quick_sizer();
+        let opts = options();
+        let spec = regions().swap_remove(0);
+        assert!(spec.shifts.is_empty());
+        let alone = Fleet::from_kinds(
+            &platform,
+            &spec.config,
+            &spec.functions,
+            opts.scheduler,
+            opts.keepalive,
+        )
+        .with_sizing(SizingService::new(sizer.clone(), opts.service))
+        .run();
+        let merged = run_multi_region(
+            &platform,
+            std::slice::from_ref(&spec),
+            &ControlPlane::frozen(sizer),
+            &opts,
+        );
+        assert_eq!(merged.remeasure, "full-revert");
+        assert_eq!(merged.regions.len(), 1);
+        assert_eq!(merged.regions[0].report, alone);
     }
 
     #[test]

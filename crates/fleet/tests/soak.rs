@@ -14,7 +14,7 @@
 //! ```
 
 use sizeless_fleet::{
-    run_fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
+    Fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
 };
 use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
 use sizeless_workload::BurstyArrival;
@@ -57,13 +57,14 @@ fn eviction_churn_soak_stays_within_its_wall_budget() {
     let config = FleetConfig::new(HOSTS, HOST_MB, DURATION_MS, 7);
     let functions = churn_functions();
     let start = Instant::now();
-    let report = run_fleet(
+    let report = Fleet::from_kinds(
         &platform,
         &config,
         &functions,
         SchedulerKind::WarmFirst,
         KeepAliveKind::Adaptive,
-    );
+    )
+    .run();
     let wall = start.elapsed();
 
     assert!(

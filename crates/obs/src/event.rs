@@ -8,8 +8,8 @@
 
 use std::fmt::Write as _;
 
-/// Why an admitted request was throttled (mirrors the fleet's
-/// `ThrottleReason`, kept primitive so obs stays dependency-free).
+/// Why a request was throttled with a 429: the fleet's concurrency limits
+/// return it, and its `Throttle` trace records carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThrottleCause {
     /// The per-function concurrency cap was hit.
@@ -74,8 +74,7 @@ impl ResizeCause {
     }
 }
 
-/// Why an invocation attempt failed (mirrors the fleet's `FailureCause`,
-/// kept primitive so obs stays dependency-free).
+/// Why an invocation attempt failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The instance crashed during initialization (cold-start failure).

@@ -12,9 +12,8 @@ use sizeless::core::service::{
 use sizeless::core::trainer::{TrainedSizer, Trainer, TrainerConfig};
 use sizeless::engine::RngStream;
 use sizeless::fleet::{
-    run_fleet, run_multi_region, run_rightsized_fleet, FaultPlan, Fleet, FleetArrival,
-    FleetConfig, FleetFunction, KeepAliveKind, MultiRegionOptions, RegionSpec, RetryKind,
-    SchedulerKind, WorkloadShift,
+    run_multi_region, FaultPlan, Fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind,
+    MultiRegionOptions, RegionSpec, RetryKind, SchedulerKind, WorkloadShift,
 };
 use sizeless::neural::NetworkConfig;
 use sizeless::platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
@@ -125,13 +124,14 @@ fn seeded_fleet_runs_are_bit_identical() {
     // Exercise a stateful scheduler and the stateful adaptive policy: both
     // must replay exactly.
     let run = || {
-        run_fleet(
+        Fleet::from_kinds(
             &platform,
             &config,
             &functions,
             SchedulerKind::Random,
             KeepAliveKind::Adaptive,
         )
+        .run()
     };
     let a = run();
     let b = run();
@@ -143,13 +143,14 @@ fn seeded_fleet_runs_are_bit_identical() {
     );
 
     // And a different seed must actually change the run.
-    let c = run_fleet(
+    let c = Fleet::from_kinds(
         &platform,
-        &config.with_seed(12),
+        &FleetConfig { seed: 12, ..config },
         &functions,
         SchedulerKind::Random,
         KeepAliveKind::Adaptive,
-    );
+    )
+    .run();
     assert_ne!(a.counters.submitted, c.counters.submitted);
 }
 
@@ -206,20 +207,21 @@ fn closed_loop_fleet_is_bit_identical_across_thread_counts() {
     ];
     let config = FleetConfig::new(3, 4096.0, 20_000.0, 17);
     let run = |threads: usize| {
-        run_rightsized_fleet(
+        Fleet::from_kinds(
             &platform,
             &config,
             &functions,
             SchedulerKind::WarmFirst,
             KeepAliveKind::Adaptive,
-            SizingService::new(
-                sizer_with_threads(threads),
-                ServiceConfig {
-                    window: 50,
-                    ..ServiceConfig::default()
-                },
-            ),
         )
+        .with_sizing(SizingService::new(
+            sizer_with_threads(threads),
+            ServiceConfig {
+                window: 50,
+                ..ServiceConfig::default()
+            },
+        ))
+        .run()
     };
 
     let serial = run(1);
@@ -278,13 +280,12 @@ fn closed_loop_trace_is_byte_identical_across_thread_counts() {
     ];
     let config = FleetConfig::new(3, 4096.0, 20_000.0, 23);
     let trace = |threads: usize| {
-        let default_ttl = platform.cold_start_model().idle_ttl_ms;
-        let fleet = Fleet::new(
+        let fleet = Fleet::from_kinds(
             &platform,
             &config,
             &functions,
-            SchedulerKind::WarmFirst.build(),
-            KeepAliveKind::Adaptive.build(functions.len(), default_ttl),
+            SchedulerKind::WarmFirst,
+            KeepAliveKind::Adaptive,
         )
         .with_sizing(SizingService::new(
             sizer_with_threads(&platform, threads),
@@ -354,13 +355,12 @@ fn faulted_closed_loop_is_bit_identical_across_thread_counts() {
         .with_recovery(3_000.0, 2.5)
         .with_seed(37);
     let run = |threads: usize| {
-        let default_ttl = platform.cold_start_model().idle_ttl_ms;
-        let fleet = Fleet::new(
+        let fleet = Fleet::from_kinds(
             &platform,
             &config,
             &functions,
-            SchedulerKind::WarmFirst.build(),
-            KeepAliveKind::Adaptive.build(functions.len(), default_ttl),
+            SchedulerKind::WarmFirst,
+            KeepAliveKind::Adaptive,
         )
         .with_sizing(SizingService::new(
             sizer_with_threads(&platform, threads),
@@ -369,15 +369,17 @@ fn faulted_closed_loop_is_bit_identical_across_thread_counts() {
                 ..ServiceConfig::default()
             },
         ))
-        .with_faults(&plan)
-        .with_retries(RetryKind::ExponentialBackoff {
-            base_ms: 200.0,
-            factor: 2.0,
-            cap_ms: 5_000.0,
-            max_attempts: 4,
-            jitter_frac: 0.2,
-            budget_per_fn: None,
-        })
+        .with_faults(
+            &plan,
+            RetryKind::ExponentialBackoff {
+                base_ms: 200.0,
+                factor: 2.0,
+                cap_ms: 5_000.0,
+                max_attempts: 4,
+                jitter_frac: 0.2,
+                budget_per_fn: None,
+            },
+        )
         .with_trace(MemorySink::new());
         let (report, sink) = fleet.run_traced();
         (report, sink.to_jsonl())

@@ -16,9 +16,9 @@
 
 use proptest::prelude::*;
 use sizeless::fleet::{
-    run_fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
+    FaultPlan, Fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, RetryKind,
+    SchedulerKind,
 };
-use sizeless::fleet::{run_faulted_fleet, FaultPlan, RetryKind};
 use sizeless::platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
 use sizeless::workload::{ArrivalProcess, BurstyArrival};
 
@@ -158,7 +158,7 @@ proptest! {
         (scheduler, keepalive) in policy_strategy(),
     ) {
         let platform = Platform::aws_like();
-        let report = run_fleet(&platform, &config, &functions, scheduler, keepalive);
+        let report = Fleet::from_kinds(&platform, &config, &functions, scheduler, keepalive).run();
 
         // Conservation at the end, with nothing left in flight.
         prop_assert!(report.counters.is_conserved());
@@ -196,13 +196,14 @@ proptest! {
     ) {
         let platform = Platform::aws_like();
         let config = FleetConfig::new(1, 1e9, 6_000.0, seed).with_invariant_checks();
-        let report = run_fleet(
+        let report = Fleet::from_kinds(
             &platform,
             &config,
             &functions,
             SchedulerKind::WarmFirst,
             KeepAliveKind::FixedTtl,
-        );
+        )
+        .run();
         prop_assert_eq!(report.counters.throttled(), 0);
         prop_assert_eq!(report.counters.submitted, report.counters.completed);
         // Memory never runs short, so nothing is ever evicted to make room.
@@ -219,13 +220,14 @@ proptest! {
         scheduler_idx in 0usize..4,
     ) {
         let platform = Platform::aws_like();
-        let report = run_fleet(
+        let report = Fleet::from_kinds(
             &platform,
             &config,
             &functions,
             SchedulerKind::ALL[scheduler_idx],
             KeepAliveKind::NoKeepAlive,
-        );
+        )
+        .run();
         prop_assert_eq!(report.counters.cold_starts, report.counters.completed);
         if report.counters.completed > 0 {
             prop_assert_eq!(report.metrics.cold_start_rate, 1.0);
@@ -242,8 +244,8 @@ proptest! {
         (scheduler, keepalive) in policy_strategy(),
     ) {
         let platform = Platform::aws_like();
-        let a = run_fleet(&platform, &config, &functions, scheduler, keepalive);
-        let b = run_fleet(&platform, &config, &functions, scheduler, keepalive);
+        let a = Fleet::from_kinds(&platform, &config, &functions, scheduler, keepalive).run();
+        let b = Fleet::from_kinds(&platform, &config, &functions, scheduler, keepalive).run();
         prop_assert_eq!(a, b);
     }
 
@@ -261,9 +263,9 @@ proptest! {
         retry in retry_strategy(),
     ) {
         let platform = Platform::aws_like();
-        let report = run_faulted_fleet(
-            &platform, &config, &functions, scheduler, keepalive, &plan, retry,
-        );
+        let report = Fleet::from_kinds(&platform, &config, &functions, scheduler, keepalive)
+            .with_faults(&plan, retry)
+            .run();
         prop_assert!(report.counters.is_conserved());
         prop_assert_eq!(report.counters.in_flight, 0);
         prop_assert_eq!(
@@ -294,9 +296,11 @@ proptest! {
         retry in retry_strategy(),
     ) {
         let platform = Platform::aws_like();
-        let run = || run_faulted_fleet(
-            &platform, &config, &functions, scheduler, keepalive, &plan, retry,
-        );
+        let run = || {
+            Fleet::from_kinds(&platform, &config, &functions, scheduler, keepalive)
+                .with_faults(&plan, retry)
+                .run()
+        };
         prop_assert_eq!(run(), run());
     }
 }

@@ -303,13 +303,12 @@ fn memory_tight_faulted_fleet_trace_reconciles_with_its_report() {
         .with_transient(0.03, 0.05, 0.5)
         .with_recovery(2_000.0, 2.0)
         .with_seed(59);
-    let default_ttl = platform.cold_start_model().idle_ttl_ms;
-    let (report, sink) = Fleet::new(
+    let (report, sink) = Fleet::from_kinds(
         &platform,
         &FleetConfig::new(2, 1536.0, 25_000.0, 57),
         &functions,
-        SchedulerKind::WarmFirst.build(),
-        KeepAliveKind::FixedTtl.build(functions.len(), default_ttl),
+        SchedulerKind::WarmFirst,
+        KeepAliveKind::FixedTtl,
     )
     .with_sizing(SizingService::new(
         sizer(&platform),
@@ -318,8 +317,7 @@ fn memory_tight_faulted_fleet_trace_reconciles_with_its_report() {
             ..ServiceConfig::default()
         },
     ))
-    .with_faults(&plan)
-    .with_retries(BACKOFF)
+    .with_faults(&plan, BACKOFF)
     .with_trace(MemorySink::new())
     .run_traced();
     let f = audit("memory-tight", &report, sink.records());
