@@ -6,7 +6,7 @@
 //! repetitions, averages the summaries, and pools all invocation samples
 //! into one [`MetricVector`] per size (the model input).
 
-use crate::{AppFunction, CaseStudyApp};
+use crate::CaseStudyApp;
 use serde::{Deserialize, Serialize};
 use sizeless_platform::{MemorySize, Platform, ResourceProfile};
 use sizeless_telemetry::MetricVector;
@@ -138,16 +138,6 @@ impl AppMeasurement {
 /// plan.
 pub fn measure_app(platform: &Platform, app: CaseStudyApp, plan: &MeasurementPlan) -> AppMeasurement {
     let functions = app.functions();
-    measure_functions(platform, app.name(), &functions, plan)
-}
-
-/// Measures an explicit list of functions (used by tests and ablations).
-pub fn measure_functions(
-    platform: &Platform,
-    app_name: &str,
-    functions: &[AppFunction],
-    plan: &MeasurementPlan,
-) -> AppMeasurement {
     let sizes = MemorySize::STANDARD.len();
     // One job per (function, size) runs all its repetitions, so only the
     // samples of the jobs in flight are held at once.
@@ -167,7 +157,7 @@ pub fn measure_functions(
         .collect();
 
     AppMeasurement {
-        app_name: app_name.to_string(),
+        app_name: app.name().to_string(),
         functions: functions_out,
     }
 }

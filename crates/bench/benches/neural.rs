@@ -75,9 +75,6 @@ fn bench_matmul(c: &mut Criterion) {
     group.bench_function("matmul_transpose_a_into_dw_256", |bch| {
         bch.iter(|| x.matmul_transpose_a_into(&delta, &mut out))
     });
-    group.bench_function("matmul_transpose_b_into_grad_256", |bch| {
-        bch.iter(|| delta.matmul_transpose_b_into(&w, &mut out))
-    });
     // The backward pass stages Wᵀ of every hidden layer once per step.
     group.bench_function("transpose_into_256x256", |bch| {
         bch.iter(|| w.transpose_into(&mut out))

@@ -67,7 +67,7 @@ fn bench_cold_start(c: &mut Criterion) {
 }
 
 fn bench_warm_pool(c: &mut Criterion) {
-    use sizeless_platform::platform::WarmPool;
+    use sizeless_platform::WarmPool;
     c.bench_function("platform/warm_pool/begin_complete", |b| {
         b.iter_batched(
             || WarmPool::new(600_000.0),

@@ -25,7 +25,7 @@
 //! including the `--trace` export.
 
 use serde::Serialize;
-use sizeless_bench::{print_table, ExperimentContext};
+use sizeless_bench::{gb_s_per_completion, print_table, write_output, ExperimentContext, BASE};
 use sizeless_core::service::{ControlPlane, RemeasureKind, ServiceConfig, SizingService};
 use sizeless_core::trainer::TrainerConfig;
 use sizeless_fleet::{
@@ -34,12 +34,8 @@ use sizeless_fleet::{
     SchedulerKind,
 };
 use sizeless_obs::MemorySink;
-use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
+use sizeless_platform::{FunctionConfig, Platform, ResourceProfile, Stage};
 use sizeless_workload::ArrivalProcess;
-
-/// The base size closed-loop functions deploy at (the paper's Table-3
-/// recommendation).
-const BASE: MemorySize = MemorySize::MB_256;
 
 /// The retry policy under test: exponential backoff with deterministic
 /// jitter and a per-request attempt cap.
@@ -84,15 +80,6 @@ fn functions() -> Vec<FleetFunction> {
             8.0,
         ),
     ]
-}
-
-const MB_MS_TO_GB_S: f64 = 1.0 / (1024.0 * 1000.0);
-
-fn gb_s_per_completion(r: &FleetReport) -> f64 {
-    if r.counters.completed == 0 {
-        return 0.0;
-    }
-    r.counters.exec_mb_ms * MB_MS_TO_GB_S / r.counters.completed as f64
 }
 
 #[derive(Serialize)]
@@ -417,10 +404,7 @@ fn main() {
             .with_trace(MemorySink::new())
             .run_traced();
         assert_eq!(report, retry_rows[1].report, "tracing perturbed the faulted run");
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).expect("create trace dir");
-        }
-        std::fs::write(path, sink.to_jsonl()).expect("write trace");
+        write_output(path, &sink.to_jsonl());
         eprintln!("[trace] wrote {} events to {}", sink.len(), path.display());
     }
 

@@ -37,7 +37,7 @@
 //! a serial and a parallel run of this binary.
 
 use serde::Serialize;
-use sizeless_bench::{pct, print_table, ExperimentContext};
+use sizeless_bench::{pct, print_table, ExperimentContext, BASE, MB_MS_TO_GB_S};
 use sizeless_core::service::{
     AdaptationKind, ControlPlane, FineTuneConfig, RemeasureKind, ServiceConfig,
 };
@@ -47,18 +47,12 @@ use sizeless_fleet::{
     MultiRegionReport, RegionSpec, SchedulerKind, WorkloadShift,
 };
 use sizeless_platform::{
-    FunctionConfig, MemorySize, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage,
+    FunctionConfig, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage,
 };
 use sizeless_workload::ArrivalProcess;
 
-/// The base size every function is deployed at (the paper's Table-3
-/// recommendation, and the size the model consumes monitoring data from).
-const BASE: MemorySize = MemorySize::MB_256;
-
 /// Index of the drifting function in every region's portfolio.
 const MUTATOR: usize = 2;
-
-const MB_MS_TO_GB_S: f64 = 1.0 / (1024.0 * 1000.0);
 
 /// Service-call-dominated glue: server-side latency is memory-independent,
 /// so the right answer is *down* — exactly what the capped offline phase

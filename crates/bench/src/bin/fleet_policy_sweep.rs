@@ -18,21 +18,12 @@
 //! result, not just the binary's liveness.
 
 use serde::Serialize;
-use sizeless_bench::{pct, print_table, ExperimentContext};
+use sizeless_bench::{bursty_with_mean, pct, print_table, ExperimentContext, MB_MS_TO_GB_S};
 use sizeless_fleet::{
     sweep, Fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
 };
 use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
-use sizeless_workload::{ArrivalProcess, BurstyArrival};
-
-/// A bursty process with long-run mean `rps`: a quiet base state (a third
-/// of the mean rate) interrupted by ~2 s bursts at 11× the base rate.
-fn bursty_with_mean(rps: f64) -> BurstyArrival {
-    let base = rps / 3.0;
-    // mean = (base·8 s + burst·2 s) / 10 s  ⇒  burst = 5·rps − 4·base.
-    let burst = 5.0 * rps - 4.0 * base;
-    BurstyArrival::new(base, burst, 8_000.0, 2_000.0)
-}
+use sizeless_workload::ArrivalProcess;
 
 /// The sweep's multi-tenant workload: four functions with distinct
 /// profiles, sizes, and rates (the sparse "cron" is where keep-alive
@@ -112,7 +103,6 @@ fn main() {
     // seed has seen several cycles.
     let duration_ms = (600_000.0 / ctx.scale).max(60_000.0);
     let seeds: Vec<u64> = (0..3).map(|i| ctx.seed.wrapping_add(i)).collect();
-    let mb_ms_to_gb_s = 1.0 / (1024.0 * 1000.0);
 
     // Every cell × seed is an independent, self-seeded simulation: fan the
     // whole grid out across the worker pool, then reduce the index-ordered
@@ -159,9 +149,9 @@ fn main() {
             acc.throttle_rate += report.metrics.throttle_rate / n;
             acc.utilization += report.metrics.utilization / n;
             acc.goodput_utilization += report.metrics.goodput_utilization / n;
-            acc.wasted_gb_s += report.metrics.wasted_mb_ms * mb_ms_to_gb_s / n;
+            acc.wasted_gb_s += report.metrics.wasted_mb_ms * MB_MS_TO_GB_S / n;
             acc.resource_gb_s_per_completion +=
-                report.metrics.resource_mb_ms_per_completion * mb_ms_to_gb_s / n;
+                report.metrics.resource_mb_ms_per_completion * MB_MS_TO_GB_S / n;
             acc.mean_latency_ms += report.metrics.mean_latency_ms / n;
             acc.completed += report.counters.completed as f64 / n;
             acc.throttled += report.counters.throttled() as f64 / n;

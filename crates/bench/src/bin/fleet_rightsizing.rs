@@ -26,7 +26,9 @@
 //! a serial and a parallel run of this binary.
 
 use serde::Serialize;
-use sizeless_bench::{pct, print_table, ExperimentContext};
+use sizeless_bench::{
+    bursty_with_mean, gb_s_per_completion, pct, print_table, write_output, ExperimentContext, BASE,
+};
 use sizeless_core::service::{ServiceConfig, SizingService};
 use sizeless_core::trainer::TrainerConfig;
 use sizeless_fleet::{
@@ -34,21 +36,9 @@ use sizeless_fleet::{
 };
 use sizeless_obs::{trace_metrics, MemorySink};
 use sizeless_platform::{
-    FunctionConfig, MemorySize, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage,
+    FunctionConfig, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage,
 };
-use sizeless_workload::{ArrivalProcess, BurstyArrival};
-
-/// The base size every function is deployed at (the paper's Table-3
-/// recommendation, and the size the model consumes monitoring data from).
-const BASE: MemorySize = MemorySize::MB_256;
-
-/// A bursty process with long-run mean `rps`: a quiet base state (a third
-/// of the mean rate) interrupted by ~2 s bursts at 11× the base rate.
-fn bursty_with_mean(rps: f64) -> BurstyArrival {
-    let base = rps / 3.0;
-    let burst = 5.0 * rps - 4.0 * base;
-    BurstyArrival::new(base, burst, 8_000.0, 2_000.0)
-}
+use sizeless_workload::ArrivalProcess;
 
 /// The fleet's multi-tenant workload, all deployed at the 256 MB base: a
 /// majority of service-call-dominated glue functions — the paper's
@@ -140,15 +130,6 @@ struct RunResult {
     /// The full reports, persisted so any metric is recoverable offline.
     static_report: FleetReport,
     rightsized_report: FleetReport,
-}
-
-const MB_MS_TO_GB_S: f64 = 1.0 / (1024.0 * 1000.0);
-
-fn gb_s_per_completion(r: &FleetReport) -> f64 {
-    if r.counters.completed == 0 {
-        return 0.0;
-    }
-    r.counters.exec_mb_ms * MB_MS_TO_GB_S / r.counters.completed as f64
 }
 
 fn main() {
@@ -322,20 +303,14 @@ fn main() {
             report, rows[0].rightsized_report,
             "tracing perturbed the closed-loop run"
         );
-        let write = |path: &std::path::Path, contents: String| {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).expect("create output dir");
-            }
-            std::fs::write(path, contents).expect("write output file");
-        };
         if let Some(path) = &ctx.trace {
-            write(path, sink.to_jsonl());
+            write_output(path, &sink.to_jsonl());
             eprintln!("[trace] wrote {} events to {}", sink.len(), path.display());
         }
         if let Some(path) = &ctx.metrics {
-            write(
+            write_output(
                 path,
-                trace_metrics(sink.records()).snapshot_json(report.horizon_ms),
+                &trace_metrics(sink.records()).snapshot_json(report.horizon_ms),
             );
             eprintln!("[metrics] wrote {}", path.display());
         }

@@ -20,7 +20,7 @@
 //! CI smoke-runs the sweep at `--scale 50`.
 
 use serde::Serialize;
-use sizeless_bench::{print_table, ExperimentContext};
+use sizeless_bench::{gb_s_per_completion, print_table, ExperimentContext, BASE};
 use sizeless_core::drift::DriftConfig;
 use sizeless_core::service::{ControlPlane, RemeasureKind, ServiceConfig, ServiceStats};
 use sizeless_core::trainer::TrainerConfig;
@@ -29,13 +29,10 @@ use sizeless_fleet::{
     MultiRegionOptions, RegionSpec, SchedulerKind, WorkloadShift,
 };
 use sizeless_platform::{
-    FunctionConfig, MemorySize, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage,
+    FunctionConfig, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage,
 };
 use sizeless_stats::cliffs::DeltaMagnitude;
 use sizeless_workload::ArrivalProcess;
-
-const BASE: MemorySize = MemorySize::MB_256;
-const MB_MS_TO_GB_S: f64 = 1.0 / (1024.0 * 1000.0);
 
 fn functions() -> Vec<FleetFunction> {
     let gateway = ResourceProfile::builder("gateway")
@@ -181,11 +178,7 @@ fn main() {
             time_to_first_win_ms: rs.counters.first_resize_at_ms,
             drift_checks: rs.service.drift_checks,
             drift_detections: rs.service.drift_detections,
-            gb_s_per_req: if fleet.counters.completed > 0 {
-                fleet.counters.exec_mb_ms * MB_MS_TO_GB_S / fleet.counters.completed as f64
-            } else {
-                0.0
-            },
+            gb_s_per_req: gb_s_per_completion(fleet),
             service: rs.service,
         }
     });

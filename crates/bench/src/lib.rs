@@ -31,10 +31,11 @@ use sizeless_core::error::CoreError;
 use sizeless_core::features::FeatureSet;
 use sizeless_core::model::SizelessModel;
 use sizeless_core::trainer::{TrainedSizer, Trainer, TrainerConfig};
-use sizeless_fleet::FaultPlan;
+use sizeless_fleet::{FaultPlan, FleetReport};
 use sizeless_neural::NetworkConfig;
 use sizeless_platform::{MemorySize, Platform};
-use std::path::PathBuf;
+use sizeless_workload::BurstyArrival;
+use std::path::{Path, PathBuf};
 
 /// Parsed command-line context shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -442,6 +443,41 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// Formats a fraction as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
+}
+
+/// MB·ms to GB·s: the fleet accounts memory-time in MB·ms, pricing in
+/// GB-seconds.
+pub const MB_MS_TO_GB_S: f64 = 1.0 / (1024.0 * 1000.0);
+
+/// The size the fleet experiments deploy their functions at: the paper's
+/// Table-3 recommendation, and the size the model consumes monitoring
+/// data from.
+pub const BASE: MemorySize = MemorySize::MB_256;
+
+/// A fleet report's execution GB·s per completed request (0 when nothing
+/// completed).
+pub fn gb_s_per_completion(r: &FleetReport) -> f64 {
+    if r.counters.completed == 0 {
+        return 0.0;
+    }
+    r.counters.exec_mb_ms * MB_MS_TO_GB_S / r.counters.completed as f64
+}
+
+/// A bursty process with long-run mean `rps`: a quiet base state (a third
+/// of the mean rate) interrupted by ~2 s bursts at 11× the base rate.
+pub fn bursty_with_mean(rps: f64) -> BurstyArrival {
+    let base = rps / 3.0;
+    // mean = (base·8 s + burst·2 s) / 10 s  ⇒  burst = 5·rps − 4·base.
+    let burst = 5.0 * rps - 4.0 * base;
+    BurstyArrival::new(base, burst, 8_000.0, 2_000.0)
+}
+
+/// Writes a `--trace` or `--metrics` file, creating its directory first.
+pub fn write_output(path: &Path, contents: &str) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create output dir");
+    }
+    std::fs::write(path, contents).expect("write output file");
 }
 
 #[cfg(test)]

@@ -79,8 +79,6 @@ use sizeless_platform::MemorySize;
 use sizeless_telemetry::{InvocationSample, Metric, MetricVector, StreamingWindow};
 
 /// A memory-size recommendation for one monitored function.
-///
-/// (Historically exported from `crate::pipeline`; still re-exported there.)
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Recommendation {
     /// Predicted execution times at every size.

@@ -19,7 +19,8 @@
 //! # Examples
 //!
 //! ```
-//! use sizeless_engine::prelude::*;
+//! use sizeless_engine::dist::Exponential;
+//! use sizeless_engine::RngStream;
 //!
 //! let mut rng = RngStream::from_seed(42, "arrivals");
 //! let exp = Exponential::new(1.0 / 33.3).unwrap(); // ~30 rps
@@ -32,15 +33,6 @@ pub mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;
-
-/// Convenient re-exports of the most used engine items.
-pub mod prelude {
-    pub use crate::dist::{Exponential, LogNormal};
-    pub use crate::queue::EventQueue;
-    pub use crate::rng::RngStream;
-    pub use crate::sim::Simulation;
-    pub use crate::time::{SimDuration, SimTime};
-}
 
 pub use queue::{EventQueue, QueueKind};
 pub use rng::{box_muller, fnv1a, RngStream};

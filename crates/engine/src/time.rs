@@ -46,11 +46,6 @@ impl SimTime {
         self.0
     }
 
-    /// This instant as seconds since simulation start.
-    pub fn as_secs(self) -> f64 {
-        self.0 / 1000.0
-    }
-
     /// The span since an earlier instant.
     ///
     /// # Panics
@@ -91,11 +86,6 @@ impl SimDuration {
     /// The span in milliseconds.
     pub fn as_millis(self) -> f64 {
         self.0
-    }
-
-    /// The span in seconds.
-    pub fn as_secs(self) -> f64 {
-        self.0 / 1000.0
     }
 }
 

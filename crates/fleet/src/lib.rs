@@ -28,7 +28,9 @@
 //!   new size's scaling laws and pricing) — the paper's offline/online
 //!   loop, closed at fleet scale. [`Fleet::with_faults`] installs a fault
 //!   plan with its retry policy, and [`Fleet::with_trace`] records every
-//!   lifecycle event into a trace sink.
+//!   lifecycle event into a trace sink. A fleet is that sink plus one
+//!   sink-free state, kept in one file per concern: the request path,
+//!   fault state, the sizing loop, and the invariants and report.
 //! * [`stats`] — the [`FleetReport`]: raw
 //!   [`FleetCounters`](sizeless_telemetry::FleetCounters) plus derived
 //!   [`FleetMetrics`](sizeless_telemetry::FleetMetrics), and the
@@ -40,7 +42,9 @@
 //! # Examples
 //!
 //! ```
-//! use sizeless_fleet::prelude::*;
+//! use sizeless_fleet::{
+//!     Fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
+//! };
 //! use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
 //! use sizeless_workload::{ArrivalProcess, BurstyArrival};
 //!
@@ -91,26 +95,6 @@ pub mod region;
 pub mod scheduler;
 pub mod stats;
 pub mod sweep;
-
-/// Re-exports of the most used fleet items.
-pub mod prelude {
-    pub use crate::faults::{FaultPlan, RetryKind};
-    pub use crate::fleet::{Fleet, FleetArrival, FleetConfig, FleetEvent, FleetFunction, FleetSim};
-    pub use crate::host::{Host, Placement};
-    pub use crate::keepalive::{
-        AdaptiveKeepAlive, FixedTtl, KeepAliveKind, KeepAlivePolicy, NoKeepAlive,
-    };
-    pub use crate::limits::ConcurrencyLimits;
-    pub use crate::region::{
-        run_multi_region, run_multi_region_faulted, MultiRegionOptions, MultiRegionReport,
-        RegionReport, RegionSpec, WorkloadShift,
-    };
-    pub use crate::scheduler::{
-        LeastLoaded, RandomFit, RoundRobin, Scheduler, SchedulerKind, WarmFirst,
-    };
-    pub use crate::stats::{FaultSummary, FleetReport, RightsizingReport};
-    pub use crate::sweep::sweep;
-}
 
 pub use faults::{FaultPlan, RetryKind};
 pub use fleet::{Fleet, FleetArrival, FleetConfig, FleetEvent, FleetFunction, FleetSim};

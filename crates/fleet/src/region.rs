@@ -272,7 +272,7 @@ where
             Simulation::with_queue(spec.config.queue, fleet.event_capacity_hint());
         fleet.prime(&mut sim);
         for shift in &spec.shifts {
-            let slot = fleet.register_shift(shift.fn_id, shift.profile.clone());
+            let slot = fleet.state.register_shift(shift.fn_id, shift.profile.clone());
             sim.schedule_event_at(
                 SimTime::from_millis(shift.at_ms),
                 FleetEvent::ShiftProfile { slot },
@@ -308,7 +308,7 @@ where
         let Some((t, i)) = next else { break };
         if let Some(prev) = last {
             if prev != i {
-                fleets[i].sink_mut().record(
+                fleets[i].sink.record(
                     t.as_millis(),
                     TraceEvent::RegionHandoff {
                         from_region: prev as u32,
@@ -324,14 +324,14 @@ where
         // same virtual time — the merged loop just advanced the globally
         // earliest event, so no target clock has passed it), or they shed
         // locally when every region is dark.
-        let diverted = fleets[i].take_diverted();
+        let diverted = fleets[i].state.take_diverted();
         if !diverted.is_empty() {
             let n = fleets.len();
             for (at_ms, fn_id) in diverted {
-                let target = (1..n).map(|k| (i + k) % n).find(|&j| !fleets[j].in_outage());
+                let target = (1..n).map(|k| (i + k) % n).find(|&j| !fleets[j].state.in_outage());
                 match target {
                     Some(j) => {
-                        fleets[j].sink_mut().record(
+                        fleets[j].sink.record(
                             at_ms,
                             TraceEvent::RegionFailover {
                                 fn_id: fn_id as u32,
@@ -478,31 +478,46 @@ mod tests {
 
     #[test]
     fn one_region_reports_exactly_what_its_fleet_reports() {
-        // A single region is the merged loop's N = 1 case. Faults stay out:
-        // the region runner derives each region's fault seed from its name.
+        // A single region is the merged loop's N = 1 case, with and without
+        // faults. The region runner derives each region's fault seed from
+        // its name, so the faulted case uses a plan that never reads its
+        // seed: scheduled crashes and a recovery window, with no transient
+        // faults and no crash process.
         let platform = Platform::aws_like();
         let sizer = quick_sizer();
         let opts = options();
         let spec = regions().swap_remove(0);
         assert!(spec.shifts.is_empty());
-        let alone = Fleet::from_kinds(
-            &platform,
-            &spec.config,
-            &spec.functions,
-            opts.scheduler,
-            opts.keepalive,
-        )
-        .with_sizing(SizingService::new(sizer.clone(), opts.service))
-        .run();
-        let merged = run_multi_region(
-            &platform,
-            std::slice::from_ref(&spec),
-            &ControlPlane::frozen(sizer),
-            &opts,
-        );
+        let alone = |faults: Option<(&FaultPlan, RetryKind)>| {
+            let fleet = Fleet::from_kinds(
+                &platform,
+                &spec.config,
+                &spec.functions,
+                opts.scheduler,
+                opts.keepalive,
+            )
+            .with_sizing(SizingService::new(sizer.clone(), opts.service));
+            match faults {
+                Some((plan, retry)) => fleet.with_faults(plan, retry).run(),
+                None => fleet.run(),
+            }
+        };
+        let one = std::slice::from_ref(&spec);
+        let merged = run_multi_region(&platform, one, &ControlPlane::frozen(sizer.clone()), &opts);
         assert_eq!(merged.remeasure, "full-revert");
         assert_eq!(merged.regions.len(), 1);
-        assert_eq!(merged.regions[0].report, alone);
+        assert_eq!(merged.regions[0].report, alone(None));
+
+        let plan = FaultPlan::none()
+            .with_crash(0, 5_000.0, 2_000.0)
+            .with_crash(1, 11_000.0, 1_500.0)
+            .with_recovery(3_000.0, 2.0);
+        let retry = RetryKind::Fixed { max_attempts: 3, delay_ms: 150.0 };
+        let plane = ControlPlane::frozen(sizer.clone());
+        let faulted = run_multi_region_faulted(&platform, one, &plane, &opts, &plan, retry);
+        let report = &faulted.regions[0].report;
+        assert_eq!(report.faults.expect("fault plans report a summary").host_crashes, 2);
+        assert_eq!(*report, alone(Some((&plan, retry))));
     }
 
     #[test]

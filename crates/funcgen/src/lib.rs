@@ -21,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use sizeless_funcgen::prelude::*;
+//! use sizeless_funcgen::{FunctionGenerator, GeneratorConfig};
 //! use sizeless_engine::RngStream;
 //!
 //! let mut generator = FunctionGenerator::new(GeneratorConfig::default());
@@ -33,13 +33,6 @@
 pub mod generator;
 pub mod motivating;
 pub mod segment;
-
-/// Re-exports of the most used generator items.
-pub mod prelude {
-    pub use crate::generator::{FunctionGenerator, GeneratedFunction, GeneratorConfig};
-    pub use crate::motivating::MotivatingFunction;
-    pub use crate::segment::SegmentKind;
-}
 
 pub use generator::{FunctionGenerator, GeneratedFunction, GeneratorConfig};
 pub use motivating::MotivatingFunction;

@@ -86,10 +86,9 @@ impl Dense {
     /// Applies the optimizer update (with L2 on weights, not biases)
     /// before returning. The weight gradient uses the fused `inputᵀ·δ`
     /// kernel; the input gradient stages `Wᵀ` in `w_t` and runs the
-    /// FMA-tiled [`Matrix::matmul_into`], which is bit-identical to the
-    /// fused [`Matrix::matmul_transpose_b_into`] (same ascending-`k`
-    /// chains) but substantially faster at training shapes, where the
-    /// dot-product form cannot use SIMD loads.
+    /// FMA-tiled [`Matrix::matmul_into`], which at training shapes is
+    /// substantially faster than a dot-product `δ·Wᵀ` kernel (that form
+    /// cannot use SIMD loads).
     #[allow(clippy::too_many_arguments)]
     pub fn backward_into(
         &mut self,

@@ -27,7 +27,7 @@
 //! Learn `y = [2x₀, x₀ + x₁]`:
 //!
 //! ```
-//! use sizeless_neural::prelude::*;
+//! use sizeless_neural::{Loss, Matrix, NetworkConfig, NeuralNetwork};
 //!
 //! let x = Matrix::from_rows(&[&[0.0, 0.0], &[0.5, 0.5], &[1.0, 0.0], &[0.0, 1.0]]);
 //! let y = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0], &[2.0, 1.0], &[0.0, 1.0]]);
@@ -60,21 +60,6 @@ pub mod scale;
 pub mod scratch;
 pub mod selection;
 pub mod transfer;
-
-/// Re-exports of the most used items.
-pub mod prelude {
-    pub use crate::activation::Activation;
-    pub use crate::crossval::{cross_validate, CrossValReport, KFold};
-    pub use crate::grid::{grid_search, GridPoint, GridSpec};
-    pub use crate::loss::Loss;
-    pub use crate::matrix::Matrix;
-    pub use crate::network::{NetworkConfig, NeuralNetwork};
-    pub use crate::optimizer::OptimizerKind;
-    pub use crate::pdp::partial_dependence;
-    pub use crate::scale::StandardScaler;
-    pub use crate::scratch::Scratch;
-    pub use crate::selection::{forward_selection, SelectionResult};
-}
 
 pub use activation::Activation;
 pub use crossval::{cross_validate, CrossValReport, KFold};

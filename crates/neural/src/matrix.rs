@@ -6,10 +6,9 @@
 //! # Fused, allocation-free kernels
 //!
 //! The training hot path goes through the `*_into` kernels —
-//! [`Matrix::matmul_into`], [`Matrix::matmul_transpose_a_into`] (`Aᵀ·B`
-//! without materializing `Aᵀ`), and [`Matrix::matmul_transpose_b_into`]
-//! (`A·Bᵀ` likewise) — which write into a caller-owned output matrix whose
-//! allocation is reused across calls. All three use register-tiled
+//! [`Matrix::matmul_into`] and [`Matrix::matmul_transpose_a_into`] (`Aᵀ·B`
+//! without materializing `Aᵀ`) — which write into a caller-owned output
+//! matrix whose allocation is reused across calls. Both use register-tiled
 //! microkernels (up to `MR2 × NR` = 8×8 accumulators held in
 //! registers) so the active slice of the right-hand operand (`n × NR × 8`
 //! bytes per column chunk) stays L1-resident while the inner loop streams
@@ -331,100 +330,6 @@ impl Matrix {
         }
         while i < n {
             mm_t_a_block::<1>(&self.data, &other.data, &mut out.data, i, depth, n, p);
-            i += 1;
-        }
-    }
-
-    /// Fused `out = self × otherᵀ` without materializing the transpose.
-    ///
-    /// `self` is `m × n`, `other` is `p × n`, `out` becomes `m × p`. Every
-    /// output element is a dot product of two contiguous rows, accumulated
-    /// in ascending-`k` order — bit-identical to
-    /// `self.matmul(&other.transpose())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sizeless_neural::Matrix;
-    ///
-    /// let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-    /// let b = Matrix::from_rows(&[&[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
-    /// let mut out = Matrix::zeros(0, 0);
-    /// a.matmul_transpose_b_into(&b, &mut out); // A·Bᵀ
-    /// assert_eq!(out, a.matmul(&b.transpose()));
-    /// ```
-    pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose_b dimension mismatch {}x{} × ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, n, p) = (self.rows, self.cols, other.rows);
-        out.resize_for_overwrite(m, p);
-        let mut i = 0;
-        // MR×MR dot-product tile: 16 independent ascending-k chains keep
-        // the FP ports busy, and each A-row load is shared by MR columns.
-        while i + MR <= m {
-            let a_rows = [
-                &self.data[i * n..(i + 1) * n],
-                &self.data[(i + 1) * n..(i + 2) * n],
-                &self.data[(i + 2) * n..(i + 3) * n],
-                &self.data[(i + 3) * n..(i + 4) * n],
-            ];
-            let mut j = 0;
-            while j + MR <= p {
-                let b_rows = [
-                    &other.data[j * n..(j + 1) * n],
-                    &other.data[(j + 1) * n..(j + 2) * n],
-                    &other.data[(j + 2) * n..(j + 3) * n],
-                    &other.data[(j + 3) * n..(j + 4) * n],
-                ];
-                let mut acc = [[0.0f64; MR]; MR];
-                for k in 0..n {
-                    // lint: allow(panic003) reason="b_rows is a fixed four-element array built just above; indices 0..=3 are in bounds"
-                    let bs = [b_rows[0][k], b_rows[1][k], b_rows[2][k], b_rows[3][k]];
-                    for (acc_r, a_r) in acc.iter_mut().zip(&a_rows) {
-                        let av = a_r[k];
-                        for (o, &bv) in acc_r.iter_mut().zip(&bs) {
-                            *o = av.mul_add(bv, *o);
-                        }
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate() {
-                    out.data[(i + r) * p + j..(i + r) * p + j + MR].copy_from_slice(acc_r);
-                }
-                j += MR;
-            }
-            while j < p {
-                let b_row = &other.data[j * n..(j + 1) * n];
-                let mut acc = [0.0f64; MR];
-                for k in 0..n {
-                    let bv = b_row[k];
-                    for (o, a_r) in acc.iter_mut().zip(&a_rows) {
-                        *o = a_r[k].mul_add(bv, *o);
-                    }
-                }
-                for (r, &v) in acc.iter().enumerate() {
-                    out.data[(i + r) * p + j] = v;
-                }
-                j += 1;
-            }
-            i += MR;
-        }
-        while i < m {
-            let a_row = &self.data[i * n..(i + 1) * n];
-            for j in 0..p {
-                let b_row = &other.data[j * n..(j + 1) * n];
-                let mut sum = 0.0;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    sum = av.mul_add(bv, sum);
-                }
-                out.data[i * p + j] = sum;
-            }
             i += 1;
         }
     }
@@ -838,10 +743,6 @@ mod tests {
             let at = random_matrix(n, m, &mut rng);
             at.matmul_transpose_a_into(&b, &mut out);
             assert_bits_eq(&out, &reference_matmul(&at.transpose(), &b));
-
-            let bt = random_matrix(p, n, &mut rng);
-            a.matmul_transpose_b_into(&bt, &mut out);
-            assert_bits_eq(&out, &reference_matmul(&a, &bt.transpose()));
         }
     }
 

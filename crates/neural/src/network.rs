@@ -272,7 +272,7 @@ impl NeuralNetwork {
         self.seed
     }
 
-    pub(crate) fn layers_internal(&self) -> &[Dense] {
+    pub(crate) fn layers(&self) -> &[Dense] {
         &self.layers
     }
 }

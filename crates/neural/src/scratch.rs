@@ -16,8 +16,7 @@
 //! # Examples
 //!
 //! ```
-//! use sizeless_neural::prelude::*;
-//! use sizeless_neural::Scratch;
+//! use sizeless_neural::{Loss, Matrix, NetworkConfig, NeuralNetwork, Scratch};
 //!
 //! let x = Matrix::from_rows(&[&[0.0], &[0.5], &[1.0], &[1.5]]);
 //! let y = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0]]);

@@ -5,7 +5,6 @@
 //! the initial layers of our model and retrain only with a much smaller new
 //! dataset" after a provider-side change invalidates the model.
 
-use crate::layer::Dense;
 use crate::matrix::Matrix;
 use crate::network::NeuralNetwork;
 use crate::scratch::Scratch;
@@ -88,13 +87,7 @@ impl NeuralNetwork {
 impl NeuralNetwork {
     /// The number of layers (hidden + output).
     pub fn layer_count(&self) -> usize {
-        self.layers_ref().len()
-    }
-
-    pub(crate) fn layers_ref(&self) -> &[Dense] {
-        // SAFETY-free accessor defined in network.rs via pub(crate) field
-        // visibility; forwarded here for the transfer module.
-        self.layers_internal()
+        self.layers().len()
     }
 }
 
@@ -150,19 +143,19 @@ mod tests {
         let (x, y) = dataset(2.0, 100, 4);
         let mut net = NeuralNetwork::new(1, 1, &config(), 5);
         net.fit(&x, &y);
-        let frozen_before = net.layers_ref()[0].weights().clone();
-        let last_before = net.layers_ref()[net.layer_count() - 1].weights().clone();
+        let frozen_before = net.layers()[0].weights().clone();
+        let last_before = net.layers()[net.layer_count() - 1].weights().clone();
 
         let (x2, y2) = dataset(3.0, 30, 6);
         net.fine_tune(&x2, &y2, 2, 50);
 
         assert_eq!(
-            net.layers_ref()[0].weights(),
+            net.layers()[0].weights(),
             &frozen_before,
             "frozen layer must not move"
         );
         assert_ne!(
-            net.layers_ref()[net.layer_count() - 1].weights(),
+            net.layers()[net.layer_count() - 1].weights(),
             &last_before,
             "trainable layer must move"
         );

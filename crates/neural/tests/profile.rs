@@ -3,8 +3,7 @@
 //! `cargo test --release -p sizeless_neural --test profile -- --ignored --nocapture`.
 
 use sizeless_engine::RngStream;
-use sizeless_neural::prelude::*;
-use sizeless_neural::Scratch;
+use sizeless_neural::{Loss, Matrix, NetworkConfig, NeuralNetwork, OptimizerKind, Scratch};
 
 #[test]
 #[ignore = "profiling tool, not a correctness test"]

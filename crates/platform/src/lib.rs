@@ -38,8 +38,8 @@
 //! # Examples
 //!
 //! ```
-//! use sizeless_platform::prelude::*;
 //! use sizeless_engine::RngStream;
+//! use sizeless_platform::{MemorySize, Platform, ResourceProfile, Stage};
 //!
 //! let profile = ResourceProfile::builder("cpu-heavy")
 //!     .stage(Stage::cpu("invert-matrix", 120.0))
@@ -71,21 +71,6 @@ pub mod pricing;
 pub mod resource;
 pub mod scaling;
 pub mod services;
-
-/// Re-exports of the most used platform items.
-pub mod prelude {
-    pub use crate::coldstart::ColdStartModel;
-    pub use crate::error::PlatformError;
-    pub use crate::execution::{ExecutionOutcome, ExecutionPlan, ResourceUsage};
-    pub use crate::function::FunctionConfig;
-    pub use crate::memory::MemorySize;
-    pub use crate::platform::{InvocationRecord, Platform};
-    pub use crate::pool::{InstanceId, WarmPool};
-    pub use crate::pricing::PricingModel;
-    pub use crate::resource::{ResourceProfile, ServiceCall, Stage};
-    pub use crate::scaling::ScalingLaws;
-    pub use crate::services::{ServiceCatalog, ServiceKind};
-}
 
 pub use error::PlatformError;
 pub use execution::{ExecutionOutcome, ExecutionPlan, ResourceUsage};

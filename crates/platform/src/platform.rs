@@ -169,11 +169,6 @@ impl Default for Platform {
     }
 }
 
-// The instance model lived here historically; it moved to [`crate::pool`]
-// so the fleet simulator and the measurement harness share one
-// implementation. Re-exported for API stability.
-pub use crate::pool::{InstanceId, WarmPool};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,14 +212,5 @@ mod tests {
         let c2048 = p.expected_cost_usd(&prof, MemorySize::MB_2048);
         let c3008 = p.expected_cost_usd(&prof, MemorySize::MB_3008);
         assert!(c3008 > c2048);
-    }
-
-    #[test]
-    fn warm_pool_reexport_still_resolves() {
-        // API-stability guard for the pre-`pool`-module import path.
-        let mut pool: WarmPool = super::WarmPool::new(10_000.0);
-        let (a, cold) = pool.begin(0.0);
-        assert!(cold);
-        pool.complete(a, 50.0);
     }
 }

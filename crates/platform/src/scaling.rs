@@ -63,7 +63,8 @@ impl ScalingLaws {
     /// # Examples
     ///
     /// ```
-    /// use sizeless_platform::prelude::*;
+    /// use sizeless_platform::scaling::ScalingLaws;
+    /// use sizeless_platform::MemorySize;
     ///
     /// let laws = ScalingLaws::aws_like();
     /// assert!((laws.cpu_share(MemorySize::new(1792)?) - 1.0).abs() < 1e-12);

@@ -80,8 +80,8 @@ impl FleetCounters {
 /// Run counters of the discrete-event engine that drove a fleet: how much
 /// event churn the run cost, independent of what the events did.
 ///
-/// Mirrors the engine's `SimStats` (the telemetry crate sits below the
-/// engine, so the fleet copies the numbers across when it builds a report).
+/// It carries the engine's `SimStats` under the report's JSON field names;
+/// the fleet copies the numbers across when it builds a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SimRunStats {
     /// Events the simulation executed.

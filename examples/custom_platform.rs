@@ -12,7 +12,11 @@
 
 use sizeless::core::dataset::DatasetConfig;
 use sizeless::core::trainer::{Trainer, TrainerConfig};
-use sizeless::platform::prelude::*;
+use sizeless::platform::coldstart::ColdStartModel;
+use sizeless::platform::scaling::ScalingLaws;
+use sizeless::platform::{
+    MemorySize, Platform, PricingModel, ResourceProfile, ServiceCatalog, Stage,
+};
 use sizeless::workload::{run_experiment, ExperimentConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

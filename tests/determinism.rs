@@ -576,7 +576,9 @@ fn rng_streams_are_stable_across_runs() {
 /// the experiment binaries therefore trades wall-clock time only.
 #[test]
 fn parallel_grid_search_is_bit_identical_to_serial() {
-    use sizeless::neural::prelude::*;
+    use sizeless::neural::{
+        cross_validate, grid_search, GridSpec, Loss, Matrix, NetworkConfig, OptimizerKind,
+    };
 
     let mut rng = RngStream::from_seed(21, "det-grid-data");
     let n = 48;
@@ -634,8 +636,7 @@ fn parallel_grid_search_is_bit_identical_to_serial() {
 /// workspace.
 #[test]
 fn scratch_reuse_across_network_shapes_is_bit_clean() {
-    use sizeless::neural::prelude::*;
-    use sizeless::neural::Scratch;
+    use sizeless::neural::{Loss, Matrix, NeuralNetwork, Scratch};
 
     let mut rng = RngStream::from_seed(31, "det-scratch-data");
     let n = 40;

@@ -12,9 +12,13 @@ use rand::Rng;
 use sizeless::engine::dist::LogNormal;
 use sizeless::engine::RngStream;
 use sizeless::funcgen::{FunctionGenerator, GeneratorConfig};
-use sizeless::platform::prelude::*;
+use sizeless::platform::coldstart::ColdStartModel;
+use sizeless::platform::scaling::ScalingLaws;
 use sizeless::platform::services::transfer_time_ms;
-use sizeless::platform::InvocationRecord;
+use sizeless::platform::{
+    ExecutionOutcome, FunctionConfig, InvocationRecord, MemorySize, Platform, ResourceProfile,
+    ResourceUsage, ServiceCall, ServiceCatalog, ServiceKind, Stage,
+};
 
 /// The per-call sampling path: the same arithmetic and draws in the same
 /// order, worked out from the models on every call through public APIs.
