@@ -8,9 +8,10 @@
 
 use crate::CaseStudyApp;
 use serde::{Deserialize, Serialize};
+use sizeless_engine::parallel_map;
 use sizeless_platform::{MemorySize, Platform, ResourceProfile};
 use sizeless_telemetry::MetricVector;
-use sizeless_workload::{map_parallel, run_experiment, ExperimentConfig, Measurement};
+use sizeless_workload::{run_experiment, ExperimentConfig, Measurement};
 
 /// How to measure an application.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -141,10 +142,15 @@ pub fn measure_app(platform: &Platform, app: CaseStudyApp, plan: &MeasurementPla
     let sizes = MemorySize::STANDARD.len();
     // One job per (function, size) runs all its repetitions, so only the
     // samples of the jobs in flight are held at once.
-    let measured = map_parallel(plan.threads, functions.len() * sizes, |job| {
-        let profile = &functions[job / sizes].profile;
-        measure_size(platform, profile, MemorySize::STANDARD[job % sizes], plan)
-    });
+    let measured = parallel_map(
+        plan.threads,
+        functions.len() * sizes,
+        || (),
+        |job, _| {
+            let profile = &functions[job / sizes].profile;
+            measure_size(platform, profile, MemorySize::STANDARD[job % sizes], plan)
+        },
+    );
     let functions_out = functions
         .iter()
         .zip(measured.chunks(sizes))

@@ -19,8 +19,9 @@
 
 use serde::Serialize;
 use sizeless_bench::{bursty_with_mean, pct, print_table, ExperimentContext, MB_MS_TO_GB_S};
+use sizeless_engine::parallel_map;
 use sizeless_fleet::{
-    sweep, Fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
+    Fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
 };
 use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
 use sizeless_workload::ArrivalProcess;
@@ -117,13 +118,18 @@ fn main() {
             }
         }
     }
-    let reports = sweep(ctx.thread_count(), cells.len() * seeds.len(), |i| {
-        let (bursty, _, sched, ka) = cells[i / seeds.len()];
-        let config = FleetConfig::new(8, 2048.0, duration_ms, seeds[i % seeds.len()])
-            .with_function_limit(12)
-            .with_account_limit(32);
-        Fleet::from_kinds(&platform, &config, &functions(bursty), sched, ka).run()
-    });
+    let reports = parallel_map(
+        ctx.thread_count(),
+        cells.len() * seeds.len(),
+        || (),
+        |i, _| {
+            let (bursty, _, sched, ka) = cells[i / seeds.len()];
+            let config = FleetConfig::new(8, 2048.0, duration_ms, seeds[i % seeds.len()])
+                .with_function_limit(12)
+                .with_account_limit(32);
+            Fleet::from_kinds(&platform, &config, &functions(bursty), sched, ka).run()
+        },
+    );
 
     let mut rows: Vec<SweepRow> = Vec::new();
     for (c, &(_, workload, sched, ka)) in cells.iter().enumerate() {

@@ -24,9 +24,10 @@ use sizeless_bench::{gb_s_per_completion, print_table, ExperimentContext, BASE};
 use sizeless_core::drift::DriftConfig;
 use sizeless_core::service::{ControlPlane, RemeasureKind, ServiceConfig, ServiceStats};
 use sizeless_core::trainer::TrainerConfig;
+use sizeless_engine::parallel_map;
 use sizeless_fleet::{
-    run_multi_region, sweep, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind,
-    MultiRegionOptions, RegionSpec, SchedulerKind, WorkloadShift,
+    run_multi_region, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, MultiRegionOptions,
+    RegionSpec, SchedulerKind, WorkloadShift,
 };
 use sizeless_platform::{
     FunctionConfig, Platform, ResourceProfile, ServiceCall, ServiceKind, Stage,
@@ -135,53 +136,58 @@ fn main() {
         }
     }
     let seed = ctx.seed;
-    let rows: Vec<SweepRow> = sweep(ctx.thread_count(), grid.len(), |i| {
-        let (window, alpha, min_magnitude) = grid[i];
-        let region = RegionSpec {
-            name: "sweep".into(),
-            config: FleetConfig::new(4, 8192.0, duration_ms, seed.wrapping_add(17)),
-            functions: functions(),
-            shifts: vec![WorkloadShift {
-                at_ms: duration_ms * 0.5,
-                fn_id: 2,
-                profile: mutator_after(),
-            }],
-        };
-        let plane = ControlPlane::frozen(sizer.clone());
-        let report = run_multi_region(
-            &platform,
-            &[region],
-            &plane,
-            &MultiRegionOptions {
-                scheduler: SchedulerKind::WarmFirst,
-                keepalive: KeepAliveKind::Adaptive,
-                service: ServiceConfig {
-                    window,
-                    drift: DriftConfig {
-                        alpha,
-                        min_magnitude,
+    let rows: Vec<SweepRow> = parallel_map(
+        ctx.thread_count(),
+        grid.len(),
+        || (),
+        |i, _| {
+            let (window, alpha, min_magnitude) = grid[i];
+            let region = RegionSpec {
+                name: "sweep".into(),
+                config: FleetConfig::new(4, 8192.0, duration_ms, seed.wrapping_add(17)),
+                functions: functions(),
+                shifts: vec![WorkloadShift {
+                    at_ms: duration_ms * 0.5,
+                    fn_id: 2,
+                    profile: mutator_after(),
+                }],
+            };
+            let plane = ControlPlane::frozen(sizer.clone());
+            let report = run_multi_region(
+                &platform,
+                &[region],
+                &plane,
+                &MultiRegionOptions {
+                    scheduler: SchedulerKind::WarmFirst,
+                    keepalive: KeepAliveKind::Adaptive,
+                    service: ServiceConfig {
+                        window,
+                        drift: DriftConfig {
+                            alpha,
+                            min_magnitude,
+                        },
                     },
+                    remeasure: RemeasureKind::FullRevert,
                 },
-                remeasure: RemeasureKind::FullRevert,
-            },
-        );
-        let fleet = &report.regions[0].report;
-        assert!(fleet.counters.is_conserved(), "conservation violated");
-        let rs = fleet.rightsizing.as_ref().expect("closed loop");
-        let rerecs = rs.service.rerecommend_same + rs.service.rerecommend_changed;
-        SweepRow {
-            window,
-            alpha,
-            min_magnitude: format!("{min_magnitude:?}"),
-            false_revert_rate: (rerecs > 0)
-                .then(|| rs.service.rerecommend_same as f64 / rerecs as f64),
-            time_to_first_win_ms: rs.counters.first_resize_at_ms,
-            drift_checks: rs.service.drift_checks,
-            drift_detections: rs.service.drift_detections,
-            gb_s_per_req: gb_s_per_completion(fleet),
-            service: rs.service,
-        }
-    });
+            );
+            let fleet = &report.regions[0].report;
+            assert!(fleet.counters.is_conserved(), "conservation violated");
+            let rs = fleet.rightsizing.as_ref().expect("closed loop");
+            let rerecs = rs.service.rerecommend_same + rs.service.rerecommend_changed;
+            SweepRow {
+                window,
+                alpha,
+                min_magnitude: format!("{min_magnitude:?}"),
+                false_revert_rate: (rerecs > 0)
+                    .then(|| rs.service.rerecommend_same as f64 / rerecs as f64),
+                time_to_first_win_ms: rs.counters.first_resize_at_ms,
+                drift_checks: rs.service.drift_checks,
+                drift_detections: rs.service.drift_detections,
+                gb_s_per_req: gb_s_per_completion(fleet),
+                service: rs.service,
+            }
+        },
+    );
 
     let table: Vec<Vec<String>> = rows
         .iter()

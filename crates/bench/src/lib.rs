@@ -1,7 +1,8 @@
 //! Shared utilities for the experiment binaries that regenerate the paper's
 //! tables and figures.
 //!
-//! Every binary accepts:
+//! Every binary accepts the same nine flags ([`USAGE`]), so one command
+//! line works across the suite. Four of them every binary uses:
 //!
 //! * `--seed <u64>` — master seed (default 0);
 //! * `--scale <f64>` — ≥ 1 shrinks dataset sizes / durations / epochs for
@@ -10,17 +11,27 @@
 //! * `--threads <usize>` — worker threads for measurement and training
 //!   fan-outs (default: the machine's available parallelism). Results are
 //!   bit-identical for every thread count — the knob trades wall-clock
-//!   time only;
+//!   time only.
+//!
+//! The optional ones take effect only in the binaries named; every other
+//! binary accepts and ignores them without a message:
+//!
 //! * `--artifact <path>` — persist the trained sizer artifact and reuse it
 //!   on later runs; artifacts are versioned against the training
 //!   configuration ([`TrainerConfig::artifact_hash`]) and a mismatch is a
-//!   hard error, never a silent retrain;
+//!   hard error, never a silent retrain (`fleet_rightsizing`,
+//!   `fleet_chaos`, `fleet_multi_region`, `service_knob_sweep`);
 //! * `--trace <path>` — write a structured JSONL trace of the run (one
 //!   deterministic, virtual-time-stamped event per line, byte-identical
-//!   across replays and thread counts);
-//! * `--metrics <path>` — write a metrics-registry JSON snapshot (the
-//!   trace folded into per-event counters plus a cold-start `init_ms`
-//!   histogram) stamped with the end of the run's virtual clock.
+//!   across replays and thread counts) (`fleet_rightsizing`,
+//!   `fleet_chaos`);
+//! * `--metrics <path>` — write a metrics JSON snapshot (the trace folded
+//!   into per-event counters plus a cold-start `init_ms` histogram)
+//!   stamped with the end of the run's virtual clock
+//!   (`fleet_rightsizing`);
+//! * `--faults <spec>` and `--fault-seed <u64>` — inject a fault plan, and
+//!   seed its fault and retry streams apart from the master seed
+//!   (`fleet_chaos`).
 //!
 //! Binaries print paper-style tables to stdout and persist JSON into the
 //! results directory so `EXPERIMENTS.md` numbers are regenerable.
@@ -52,7 +63,7 @@ pub struct ExperimentContext {
     pub artifact: Option<PathBuf>,
     /// Destination for a structured JSONL trace of the run, if given.
     pub trace: Option<PathBuf>,
-    /// Destination for a metrics-registry JSON snapshot, if given.
+    /// Destination for a metrics JSON snapshot, if given.
     pub metrics: Option<PathBuf>,
     /// Fault plan parsed from `--faults`, if given. Binaries without a
     /// fault-injection path accept (and ignore) the flag so one command
@@ -81,20 +92,29 @@ Shared experiment flags:
   --trace <path>     write a structured JSONL trace of the run
                      (one deterministic, virtual-time-stamped
                      event per line) to this file               (default: no trace)
-  --metrics <path>   write a metrics-registry JSON snapshot
-                     (counters + log-scale histograms) to this
-                     file                                       (default: no snapshot)
+  --metrics <path>   write a metrics JSON snapshot (the trace's
+                     event counters + a log-scale init_ms
+                     histogram) to this file                    (default: no snapshot)
   --faults <spec>    inject faults: `;`-separated clauses, e.g.
                      `crash:host=0,at=5000,down=2000;
                      transient:init=0.05,exec=0.1,frac=0.5;
                      outage:region=1,at=8000,down=4000`
                      (also: crashes:mtbf=..,down=..,
                      recovery:ms=..,slowdown=.., nofailover,
-                     nomask); binaries without a fault path
-                     accept and ignore it                       (default: no faults)
+                     nomask)                                    (default: no faults)
   --fault-seed <u64> seed of the fault/retry streams, separate
                      from the master seed                       (default 0)
-  --help, -h         print this help and exit";
+  --help, -h         print this help and exit
+
+Every binary accepts every flag, so one command line works across the
+suite. The optional flags take effect only in these binaries; the others
+ignore them without a message:
+  --artifact         fleet_rightsizing, fleet_chaos, fleet_multi_region,
+                     service_knob_sweep
+  --trace            fleet_rightsizing, fleet_chaos
+  --metrics          fleet_rightsizing
+  --faults, --fault-seed
+                     fleet_chaos";
 
 /// How argument parsing ended when it did not produce a context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,10 +126,11 @@ pub enum ArgsError {
 }
 
 impl ExperimentContext {
-    /// Parses `--seed`, `--scale`, `--out`, `--threads`, and `--artifact`
-    /// from `std::env::args`. Unknown or malformed flags print a clear error
-    /// plus the shared [`USAGE`] text and exit non-zero; `--help` prints
-    /// the usage and exits zero.
+    /// Parses the nine shared flags (`--seed`, `--scale`, `--out`,
+    /// `--threads`, `--artifact`, `--trace`, `--metrics`, `--faults` and
+    /// `--fault-seed`) from `std::env::args`. Unknown or malformed flags
+    /// print a clear error plus the shared [`USAGE`] text and exit
+    /// non-zero; `--help` prints the usage and exits zero.
     pub fn from_args() -> Self {
         match Self::parse(std::env::args().skip(1)) {
             Ok(ctx) => ctx,

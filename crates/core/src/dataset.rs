@@ -9,10 +9,10 @@
 
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
-use sizeless_engine::RngStream;
+use sizeless_engine::{parallel_map, RngStream};
 use sizeless_funcgen::{FunctionGenerator, GeneratorConfig};
 use sizeless_platform::{MemorySize, Platform};
-use sizeless_workload::{map_parallel, run_experiment, ExperimentConfig};
+use sizeless_workload::{run_experiment, ExperimentConfig};
 use sizeless_telemetry::MetricVector;
 use std::path::Path;
 
@@ -161,11 +161,16 @@ impl TrainingDataset {
         let experiment = cfg.experiment.with_seed(cfg.seed.wrapping_add(0x5EED));
         // Keep only each experiment's aggregates, so the samples of the
         // jobs in flight are all that is held at once.
-        let measurements = map_parallel(cfg.threads, jobs.len(), |i| {
-            let (profile, memory) = jobs[i];
-            let m = run_experiment(platform, profile, memory, &experiment);
-            (m.metrics, m.summary)
-        });
+        let measurements = parallel_map(
+            cfg.threads,
+            jobs.len(),
+            || (),
+            |i, _| {
+                let (profile, memory) = jobs[i];
+                let m = run_experiment(platform, profile, memory, &experiment);
+                (m.metrics, m.summary)
+            },
+        );
 
         let records = functions
             .iter()

@@ -10,9 +10,9 @@ use crate::dataset::TrainingDataset;
 use crate::error::CoreError;
 use crate::features::FeatureSet;
 use serde::{Deserialize, Serialize};
+use sizeless_engine::parallel_map;
 use sizeless_neural::crossval::{pooled_report, CrossValReport, KFold};
-use sizeless_neural::parallel::parallel_map;
-use sizeless_neural::{Matrix, NetworkConfig, NeuralNetwork, StandardScaler};
+use sizeless_neural::{Matrix, NetworkConfig, NeuralNetwork, Scratch, StandardScaler};
 use sizeless_platform::MemorySize;
 use sizeless_telemetry::MetricVector;
 use std::collections::BTreeMap;
@@ -282,7 +282,7 @@ pub fn evaluate_base_size(
         }
     }
 
-    let fold_results = parallel_map(threads, jobs.len(), |i, scratch| {
+    let fold_results = parallel_map(threads, jobs.len(), Scratch::new, |i, scratch| {
         let (train_idx, test_idx, net_seed) = &jobs[i];
         let x_train_raw = x_raw.select_rows(train_idx);
         let (scaler, x_train) = StandardScaler::fit_transform(&x_train_raw);

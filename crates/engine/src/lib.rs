@@ -15,6 +15,9 @@
 //!   with exponentially distributed inter-arrival time) and lognormal
 //!   latency noise.
 //! * [`sim`] — a minimal simulation driver over typed, `Copy` events.
+//! * [`parallel`] — [`parallel_map`], the deterministic fan-out of
+//!   independent jobs (measurements, folds, grid points, fleet sweeps):
+//!   bit-identical results at every thread count.
 //!
 //! # Examples
 //!
@@ -29,11 +32,13 @@
 //! ```
 
 pub mod dist;
+pub mod parallel;
 pub mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;
 
+pub use parallel::parallel_map;
 pub use queue::{EventQueue, QueueKind};
 pub use rng::{box_muller, fnv1a, RngStream};
 pub use sim::{SimEvent, SimStats, Simulation};

@@ -31,10 +31,18 @@
 //!   lifecycle event into a trace sink. A fleet is that sink plus one
 //!   sink-free state, kept in one file per concern: the request path,
 //!   fault state, the sizing loop, and the invariants and report.
+//! * [`faults`] — the [`FaultPlan`] of host crashes, transient faults and
+//!   region outages, and the [`RetryKind`] that answers a failed attempt.
+//! * [`region`] — [`run_multi_region`]: several fleets sharing one sizing
+//!   control plane, advanced in merged virtual-time order.
 //! * [`stats`] — the [`FleetReport`]: raw
 //!   [`FleetCounters`](sizeless_telemetry::FleetCounters) plus derived
 //!   [`FleetMetrics`](sizeless_telemetry::FleetMetrics), and the
 //!   before/after-resize [`RightsizingReport`] of closed-loop runs.
+//!
+//! Policy and knob sweeps run many independent fleets; they fan out through
+//! [`sizeless_engine::parallel_map`], one fleet per job with its own seed,
+//! so a sweep's reports are byte-identical at any thread count.
 //!
 //! The single-function measurement harness is the special case of a
 //! one-host fleet with unbounded memory and no limits.
@@ -94,7 +102,6 @@ pub mod limits;
 pub mod region;
 pub mod scheduler;
 pub mod stats;
-pub mod sweep;
 
 pub use faults::{FaultPlan, RetryKind};
 pub use fleet::{Fleet, FleetArrival, FleetConfig, FleetEvent, FleetFunction, FleetSim};
@@ -107,4 +114,3 @@ pub use region::{
 };
 pub use scheduler::{LeastLoaded, RandomFit, RoundRobin, Scheduler, SchedulerKind, WarmFirst};
 pub use stats::{FaultSummary, FleetReport, RightsizingReport};
-pub use sweep::sweep;

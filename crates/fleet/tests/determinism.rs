@@ -1,8 +1,9 @@
 //! Pinned determinism contract for the hot-path rework: a rightsized
 //! (closed-loop) fleet report and its full trace are byte-identical under
-//! both event-queue variants and under sweep thread counts 1 and 4.
+//! both event-queue variants and under fan-out thread counts 1 and 4, and
+//! so is a plain seed × scheduler grid of fleet reports.
 //!
-//! The queue knob and the parallel sweep runner are performance choices;
+//! The queue knob and the parallel fan-out are performance choices;
 //! this suite is the executable statement that neither can move a single
 //! byte of simulation output. Reports are compared as serialized JSON and
 //! traces as JSONL exports — the same representations the experiment
@@ -12,11 +13,11 @@
 use sizeless_core::dataset::DatasetConfig;
 use sizeless_core::service::{ControlPlane, RemeasureKind, ServiceConfig};
 use sizeless_core::trainer::{TrainedSizer, Trainer, TrainerConfig};
-use sizeless_engine::QueueKind;
+use sizeless_engine::{parallel_map, QueueKind};
 use sizeless_fleet::{
-    run_multi_region_faulted, run_multi_region_faulted_traced, sweep, FaultPlan, FleetArrival,
-    FleetConfig, FleetFunction, KeepAliveKind, MultiRegionOptions, RegionSpec, RetryKind,
-    SchedulerKind,
+    run_multi_region_faulted, run_multi_region_faulted_traced, FaultPlan, Fleet, FleetArrival,
+    FleetConfig, FleetFunction, FleetReport, KeepAliveKind, MultiRegionOptions, RegionSpec,
+    RetryKind, SchedulerKind,
 };
 use sizeless_obs::MemorySink;
 use sizeless_platform::{
@@ -146,10 +147,15 @@ fn rightsized_report_and_trace_identical_across_sweep_threads() {
         (QueueKind::calendar(), 77),
     ];
     let run_all = |threads: usize| {
-        sweep(threads, jobs.len(), |i| {
-            let (queue, seed) = jobs[i];
-            rightsized_run(&platform, &sizer, queue, seed)
-        })
+        parallel_map(
+            threads,
+            jobs.len(),
+            || (),
+            |i, _| {
+                let (queue, seed) = jobs[i];
+                rightsized_run(&platform, &sizer, queue, seed)
+            },
+        )
     };
     let serial = run_all(1);
     let parallel = run_all(4);
@@ -157,5 +163,58 @@ fn rightsized_report_and_trace_identical_across_sweep_threads() {
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(s.0, p.0, "job {i}: report bytes differ between 1 and 4 threads");
         assert_eq!(s.1, p.1, "job {i}: trace bytes differ between 1 and 4 threads");
+    }
+}
+
+/// A seed × scheduler grid of one-function fleets, run by `threads`
+/// workers.
+fn grid(platform: &Platform, threads: usize) -> Vec<FleetReport> {
+    let profile = ResourceProfile::builder("f")
+        .stage(Stage::cpu("w", 25.0))
+        .init_cpu_ms(80.0)
+        .build();
+    let functions = vec![FleetFunction::new(
+        FunctionConfig::new(profile, MemorySize::MB_512),
+        FleetArrival::Steady(ArrivalProcess::poisson(6.0)),
+    )];
+    let mut cells = Vec::new();
+    for seed in [1_u64, 2, 3] {
+        for sched in [SchedulerKind::WarmFirst, SchedulerKind::Random] {
+            cells.push((seed, sched));
+        }
+    }
+    parallel_map(
+        threads,
+        cells.len(),
+        || (),
+        |i, _| {
+            let (seed, sched) = cells[i];
+            Fleet::from_kinds(
+                platform,
+                &FleetConfig::new(2, 1024.0, 20_000.0, seed),
+                &functions,
+                sched,
+                KeepAliveKind::FixedTtl,
+            )
+            .run()
+        },
+    )
+}
+
+#[test]
+fn reports_are_identical_at_any_thread_count() {
+    let platform = Platform::aws_like();
+    let serial = grid(&platform, 1);
+    for threads in [2, 4] {
+        let parallel = grid(&platform, threads);
+        assert_eq!(serial.len(), parallel.len());
+        for (a, b) in serial.iter().zip(&parallel) {
+            assert_eq!(a.counters, b.counters);
+            assert_eq!(
+                a.metrics.mean_latency_ms.to_bits(),
+                b.metrics.mean_latency_ms.to_bits()
+            );
+            assert_eq!(a.sim, b.sim);
+        }
     }
 }

@@ -17,7 +17,7 @@ use std::fmt;
 pub struct AllowEntry {
     /// Rule identifier this entry exempts (e.g. `"det003"`).
     pub rule: String,
-    /// Module path prefix the exemption covers (e.g. `"workload::parallel"`).
+    /// Module path prefix the exemption covers (e.g. `"engine::parallel"`).
     pub module: Option<String>,
     /// Crate short name the exemption covers (e.g. `"bench"`).
     pub krate: Option<String>,
@@ -312,7 +312,7 @@ functions = [
 
 [[allow]]
 rule = "det003"
-module = "neural::parallel"
+module = "engine::parallel"
 reason = "deterministic scoped fan-out"
 
 [[allow]]
@@ -334,7 +334,7 @@ reason = "experiment binaries may assert"
         assert_eq!(cfg.hot_function_lines, vec![12, 13]);
         assert_eq!(cfg.allows.len(), 2);
         assert_eq!(cfg.allows[0].rule, "det003");
-        assert_eq!(cfg.allows[0].module.as_deref(), Some("neural::parallel"));
+        assert_eq!(cfg.allows[0].module.as_deref(), Some("engine::parallel"));
         assert_eq!(cfg.allows[1].krate.as_deref(), Some("bench"));
     }
 

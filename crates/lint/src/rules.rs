@@ -58,7 +58,7 @@ pub const RULES: &[RuleMeta] = &[
         id: "det003",
         severity: Severity::Deny,
         summary: "ad-hoc thread spawn outside an approved parallel module; \
-                  fan out through neural::parallel's per-job-seed discipline",
+                  fan out through engine::parallel's per-job-seed discipline",
     },
     RuleMeta {
         id: "det004",

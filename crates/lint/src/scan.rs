@@ -420,7 +420,7 @@ fn check_token(
                 t,
                 format!(
                     "`thread::{name}` outside an approved parallel module; \
-                     fan out via neural::parallel so per-job seeding holds"
+                     fan out via engine::parallel so per-job seeding holds"
                 ),
             ));
         }

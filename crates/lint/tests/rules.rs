@@ -156,12 +156,12 @@ fn det003_allowed_by_module_entry() {
     let mut config = cfg();
     config.allows.push(AllowEntry {
         rule: "det003".into(),
-        module: Some("neural::parallel".into()),
+        module: Some("engine::parallel".into()),
         krate: None,
         reason: "deterministic scoped fan-out".into(),
     });
     let report = lint_source(
-        "crates/neural/src/parallel.rs",
+        "crates/engine/src/parallel.rs",
         "pub fn go() { std::thread::scope(|s| {}); }",
         &config,
     );

@@ -8,10 +8,9 @@
 
 use crate::matrix::Matrix;
 use crate::network::{NetworkConfig, NeuralNetwork};
-use crate::parallel::parallel_map;
 use crate::scratch::Scratch;
 use serde::{Deserialize, Serialize};
-use sizeless_engine::RngStream;
+use sizeless_engine::{parallel_map, RngStream};
 use sizeless_stats::regression;
 
 /// A shuffled k-fold splitter.
@@ -100,7 +99,7 @@ pub fn cross_validate(
     threads: usize,
 ) -> CrossValReport {
     let jobs = fold_jobs(x.rows(), k, iterations, seed);
-    let fold_results = parallel_map(threads, jobs.len(), |i, scratch| {
+    let fold_results = parallel_map(threads, jobs.len(), Scratch::new, |i, scratch| {
         let (train_idx, test_idx, net_seed) = &jobs[i];
         fold_predictions(x, y, config, train_idx, test_idx, *net_seed, scratch)
     });

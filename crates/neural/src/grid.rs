@@ -9,8 +9,9 @@ use crate::loss::Loss;
 use crate::matrix::Matrix;
 use crate::network::NetworkConfig;
 use crate::optimizer::OptimizerKind;
-use crate::parallel::parallel_map;
+use crate::scratch::Scratch;
 use serde::{Deserialize, Serialize};
+use sizeless_engine::parallel_map;
 
 /// The search space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -133,7 +134,7 @@ pub fn grid_search(
 ) -> Vec<GridPoint> {
     let configs = spec.configurations();
     assert!(!configs.is_empty(), "grid has no configurations");
-    let mut points = parallel_map(threads, configs.len(), |i, scratch| {
+    let mut points = parallel_map(threads, configs.len(), Scratch::new, |i, scratch| {
         let config = configs[i];
         let report = cross_validate_with(x, y, &config, k, 1, seed, scratch);
         GridPoint {

@@ -14,8 +14,6 @@
 //!   mini-batch training, L2 regularization, and deterministic seeding.
 //! * [`scratch`] — the reusable training workspace that makes the
 //!   mini-batch hot path allocation-free.
-//! * [`parallel`] — deterministic multi-threaded fan-out for the search
-//!   loops (bit-identical results for every thread count).
 //! * [`scale`] — feature standardization.
 //! * [`crossval`] — k-fold cross-validation (the paper runs 10×5-fold).
 //! * [`grid`] — hyperparameter grid search (Table 2).
@@ -54,7 +52,6 @@ pub mod loss;
 pub mod matrix;
 pub mod network;
 pub mod optimizer;
-pub mod parallel;
 pub mod pdp;
 pub mod scale;
 pub mod scratch;

@@ -9,8 +9,9 @@
 use crate::crossval::cross_validate_with;
 use crate::matrix::Matrix;
 use crate::network::NetworkConfig;
-use crate::parallel::parallel_map;
+use crate::scratch::Scratch;
 use serde::{Deserialize, Serialize};
+use sizeless_engine::parallel_map;
 
 /// The outcome of a forward-selection run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,7 +80,7 @@ pub fn forward_selection(
     let mut mse_curve: Vec<f64> = Vec::new();
 
     while !remaining.is_empty() && selected.len() < max_features {
-        let scores = parallel_map(threads, remaining.len(), |pos, scratch| {
+        let scores = parallel_map(threads, remaining.len(), Scratch::new, |pos, scratch| {
             let cand = remaining[pos];
             let mut cols = selected.clone();
             cols.push(cand);

@@ -16,9 +16,9 @@
 //!   [`MemorySink`] retains everything for export.
 //! - [`export`]: JSONL (one self-describing object per line), plus a
 //!   parser for round-trip analysis.
-//! - [`LogHistogram`]/[`MetricsRegistry`]: deterministic fixed-bucket
-//!   log-scale histograms and monotone counters, snapshottable to JSON at
-//!   any virtual time; [`trace_metrics`] folds a recorded trace into one.
+//! - [`trace_metrics`]: folds a recorded trace into [`TraceMetrics`], ten
+//!   event counters and a deterministic fixed-bucket log-scale
+//!   [`LogHistogram`], snapshottable to JSON at any virtual time.
 //!
 //! The crate is dependency-free by design: it sits *below* the engine,
 //! fleet, and sizing control plane, which all record into it.
@@ -29,5 +29,5 @@ pub mod metrics;
 pub mod sink;
 
 pub use event::{FaultKind, LoopPhase, ResizeCause, ThrottleCause, TraceEvent, TraceRecord};
-pub use metrics::{trace_metrics, CounterId, HistogramId, LogHistogram, MetricsRegistry};
+pub use metrics::{trace_metrics, LogHistogram, TraceMetrics};
 pub use sink::{MemorySink, NullSink, TraceSink};

@@ -1,4 +1,4 @@
-//! Deterministic metrics: log-scale histograms and monotone counters.
+//! Deterministic metrics: log-scale histograms and a trace's counters.
 //!
 //! Everything here is driven by virtual time and explicit observations —
 //! no wall clock, no ambient randomness — so snapshots from identical runs
@@ -7,8 +7,8 @@
 //! platform and needs no `ln`/`log2` calls.
 //!
 //! A fleet's metrics are not counted alongside its trace: [`trace_metrics`]
-//! folds the recorded trace into a registry after the run, so every series
-//! is a view of the events that produced it.
+//! folds the recorded trace into a [`TraceMetrics`] after the run, so every
+//! series is a view of the events that produced it.
 
 use crate::event::{TraceEvent, TraceRecord};
 use std::fmt::Write as _;
@@ -165,155 +165,114 @@ impl LogHistogram {
     }
 }
 
-/// Handle to a registered counter (index into the registry, O(1) updates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// A registry of named monotone counters and log-scale histograms.
-///
-/// Register every series up front (allocates once), then update through the
-/// returned handles from hot paths without further allocation. Snapshots
-/// serialize in registration order, so identical runs produce byte-identical
-/// JSON.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(&'static str, u64)>,
-    histograms: Vec<(&'static str, LogHistogram)>,
+/// The metrics of one recorded fleet trace, as [`trace_metrics`] folds
+/// them: ten counters, each counting one event kind, and the histogram of
+/// cold-start initialization times. The counters are named like the JSON
+/// keys [`TraceMetrics::snapshot_json`] writes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TraceMetrics {
+    /// `Dispatch` events.
+    pub dispatches: u64,
+    /// `ColdStart` events.
+    pub cold_starts: u64,
+    /// `Throttle` events.
+    pub throttles: u64,
+    /// Instances evicted: the sum of `Eviction.evicted`.
+    pub evictions: u64,
+    /// `Resize` events.
+    pub resizes_applied: u64,
+    /// `ShadowRoute` events.
+    pub shadow_routes: u64,
+    /// `DriftDetected` events.
+    pub drift_detections: u64,
+    /// `InvocationFailed` events.
+    pub invocation_failures: u64,
+    /// `RetryScheduled` events.
+    pub retries_scheduled: u64,
+    /// `HostDown` events.
+    pub host_crashes: u64,
+    /// `ColdStart.init_ms`, in record order.
+    pub init_ms: LogHistogram,
 }
 
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Registers (or finds) a counter named `name` and returns its handle.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| *n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name, 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or finds) a histogram named `name` and returns its handle.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        if let Some(i) = self.histograms.iter().position(|(n, _)| *n == name) {
-            return HistogramId(i);
-        }
-        self.histograms.push((name, LogHistogram::new()));
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.counters[id.0].1 += 1;
-    }
-
-    /// Adds `delta` to a counter.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, delta: u64) {
-        self.counters[id.0].1 += delta;
-    }
-
-    /// Records one observation into a histogram.
-    #[inline]
-    pub fn observe(&mut self, id: HistogramId, value: f64) {
-        self.histograms[id.0].1.observe(value);
-    }
-
-    /// Current value of the counter named `name`, if registered.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
-    }
-
-    /// Serializes the registry to JSON at virtual time `at_ms`.
+impl TraceMetrics {
+    /// Serializes the metrics to JSON at virtual time `at_ms`.
     ///
-    /// Counters appear in registration order; each histogram reports count,
-    /// sum, min/max, p50/p90/p99, and its non-empty buckets as
+    /// The counters appear in field order; the `init_ms` histogram reports
+    /// count, sum, min/max, p50/p90/p99, and its non-empty buckets as
     /// `[lower_bound, count]` pairs.
     pub fn snapshot_json(&self, at_ms: f64) -> String {
-        let mut out = String::with_capacity(256 + self.histograms.len() * 256);
+        let counters = [
+            ("dispatches", self.dispatches),
+            ("cold_starts", self.cold_starts),
+            ("throttles", self.throttles),
+            ("evictions", self.evictions),
+            ("resizes_applied", self.resizes_applied),
+            ("shadow_routes", self.shadow_routes),
+            ("drift_detections", self.drift_detections),
+            ("invocation_failures", self.invocation_failures),
+            ("retries_scheduled", self.retries_scheduled),
+            ("host_crashes", self.host_crashes),
+        ];
+        let hist = &self.init_ms;
+        let mut out = String::with_capacity(512);
         let _ = write!(out, "{{\"at_ms\":{at_ms},\"counters\":{{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
+        for (i, (name, value)) in counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(out, "\"{name}\":{value}");
         }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, hist)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                hist.count(),
-                hist.sum(),
-                if hist.count() == 0 { 0.0 } else { hist.min() },
-                if hist.count() == 0 { 0.0 } else { hist.max() },
-                hist.quantile(0.5),
-                hist.quantile(0.9),
-                hist.quantile(0.99),
-            );
-            let mut first = true;
-            for (b, c) in hist.buckets().iter().enumerate() {
-                if *c > 0 {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    let _ = write!(out, "[{},{c}]", LogHistogram::bucket_lower(b));
+        let _ = write!(
+            out,
+            "}},\"histograms\":{{\"init_ms\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
+            hist.count(),
+            hist.sum(),
+            if hist.count() == 0 { 0.0 } else { hist.min() },
+            if hist.count() == 0 { 0.0 } else { hist.max() },
+            hist.quantile(0.5),
+            hist.quantile(0.9),
+            hist.quantile(0.99),
+        );
+        let mut first = true;
+        for (b, c) in hist.buckets().iter().enumerate() {
+            if *c > 0 {
+                if !first {
+                    out.push(',');
                 }
+                first = false;
+                let _ = write!(out, "[{},{c}]", LogHistogram::bucket_lower(b));
             }
-            out.push_str("]}");
         }
-        out.push_str("}}");
+        out.push_str("]}}}");
         out
     }
 }
 
-/// Folds a fleet trace into its metrics registry: ten counters, each
-/// counting one event kind (`evictions` sums `eviction.evicted`), and the
-/// `init_ms` histogram of cold-start initialization times, in record order.
-pub fn trace_metrics(records: &[TraceRecord]) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    let dispatches = reg.counter("dispatches");
-    let cold_starts = reg.counter("cold_starts");
-    let throttles = reg.counter("throttles");
-    let evictions = reg.counter("evictions");
-    let resizes = reg.counter("resizes_applied");
-    let shadow_routes = reg.counter("shadow_routes");
-    let drift_detections = reg.counter("drift_detections");
-    let invocation_failures = reg.counter("invocation_failures");
-    let retries = reg.counter("retries_scheduled");
-    let host_crashes = reg.counter("host_crashes");
-    let init_ms = reg.histogram("init_ms");
+/// Folds a fleet trace into its [`TraceMetrics`]: each counter counts one
+/// event kind (`evictions` sums `eviction.evicted`), and `init_ms` holds
+/// the cold-start initialization times, in record order.
+pub fn trace_metrics(records: &[TraceRecord]) -> TraceMetrics {
+    let mut m = TraceMetrics::default();
     for record in records {
         match record.event {
-            TraceEvent::Dispatch { .. } => reg.inc(dispatches),
-            TraceEvent::ColdStart { init_ms: v, .. } => {
-                reg.inc(cold_starts);
-                reg.observe(init_ms, v);
+            TraceEvent::Dispatch { .. } => m.dispatches += 1,
+            TraceEvent::ColdStart { init_ms, .. } => {
+                m.cold_starts += 1;
+                m.init_ms.observe(init_ms);
             }
-            TraceEvent::Throttle { .. } => reg.inc(throttles),
-            TraceEvent::Eviction { evicted, .. } => reg.add(evictions, u64::from(evicted)),
-            TraceEvent::Resize { .. } => reg.inc(resizes),
-            TraceEvent::ShadowRoute { .. } => reg.inc(shadow_routes),
-            TraceEvent::DriftDetected { .. } => reg.inc(drift_detections),
-            TraceEvent::InvocationFailed { .. } => reg.inc(invocation_failures),
-            TraceEvent::RetryScheduled { .. } => reg.inc(retries),
-            TraceEvent::HostDown { .. } => reg.inc(host_crashes),
+            TraceEvent::Throttle { .. } => m.throttles += 1,
+            TraceEvent::Eviction { evicted, .. } => m.evictions += u64::from(evicted),
+            TraceEvent::Resize { .. } => m.resizes_applied += 1,
+            TraceEvent::ShadowRoute { .. } => m.shadow_routes += 1,
+            TraceEvent::DriftDetected { .. } => m.drift_detections += 1,
+            TraceEvent::InvocationFailed { .. } => m.invocation_failures += 1,
+            TraceEvent::RetryScheduled { .. } => m.retries_scheduled += 1,
+            TraceEvent::HostDown { .. } => m.host_crashes += 1,
             _ => {}
         }
     }
-    reg
+    m
 }
 
 #[cfg(test)]
@@ -384,26 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_dedupes_names_and_updates_by_handle() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter("dispatches");
-        let b = reg.counter("dispatches");
-        assert_eq!(a, b);
-        reg.inc(a);
-        reg.add(b, 4);
-        assert_eq!(reg.counter_value("dispatches"), Some(5));
-        assert_eq!(reg.counter_value("missing"), None);
-
-        let h = reg.histogram("latency_ms");
-        assert_eq!(reg.histogram("latency_ms"), h);
-        reg.observe(h, 12.0);
-        reg.observe(h, 14.0);
-        assert!(reg
-            .snapshot_json(0.0)
-            .contains("\"latency_ms\":{\"count\":2,\"sum\":26,"));
-    }
-
-    #[test]
     fn trace_metrics_counts_each_event_kind_once() {
         use crate::event::{FaultKind, ResizeCause, ThrottleCause};
         let events = [
@@ -439,24 +378,36 @@ mod tests {
             ),
             "{snap}"
         );
-        assert_eq!(trace_metrics(&[]).counter_value("dispatches"), Some(0));
+        assert_eq!(trace_metrics(&[]).dispatches, 0);
     }
 
     #[test]
     fn snapshot_json_is_stable_and_parseable() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("cold_starts");
-        let h = reg.histogram("latency_ms");
-        reg.add(c, 3);
+        let mut m = TraceMetrics {
+            cold_starts: 3,
+            ..TraceMetrics::default()
+        };
         for v in [10.0, 20.0, 40.0] {
-            reg.observe(h, v);
+            m.init_ms.observe(v);
         }
-        let snap = reg.snapshot_json(1234.5);
-        assert_eq!(snap, reg.snapshot_json(1234.5), "snapshots are deterministic");
-        assert!(snap.starts_with("{\"at_ms\":1234.5,\"counters\":{\"cold_starts\":3}"), "{snap}");
+        let snap = m.snapshot_json(1234.5);
+        assert_eq!(snap, m.snapshot_json(1234.5), "snapshots are deterministic");
+        assert!(
+            snap.starts_with("{\"at_ms\":1234.5,\"counters\":{\"dispatches\":0,\"cold_starts\":3,"),
+            "{snap}"
+        );
         assert!(snap.contains("\"count\":3"), "{snap}");
         assert!(snap.contains("\"sum\":70"), "{snap}");
         // Three distinct buckets for 10/20/40 (each in its own power of two).
         assert_eq!(snap.matches(",1]").count(), 3, "{snap}");
+        // The empty snapshot byte for byte: every key, in file order.
+        assert_eq!(
+            trace_metrics(&[]).snapshot_json(0.0),
+            "{\"at_ms\":0,\"counters\":{\"dispatches\":0,\"cold_starts\":0,\"throttles\":0,\
+             \"evictions\":0,\"resizes_applied\":0,\"shadow_routes\":0,\"drift_detections\":0,\
+             \"invocation_failures\":0,\"retries_scheduled\":0,\"host_crashes\":0},\
+             \"histograms\":{\"init_ms\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\
+             \"p50\":0,\"p90\":0,\"p99\":0,\"buckets\":[]}}}"
+        );
     }
 }

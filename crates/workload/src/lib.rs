@@ -14,9 +14,9 @@
 //! * [`harness`] — [`run_experiment`]: one
 //!   (function, memory size) performance test producing a
 //!   [`Measurement`] (metric store + summary).
-//! * [`parallel`] — crossbeam-based fan-out of independent experiments with
-//!   per-experiment RNG streams (deterministic regardless of thread
-//!   interleaving).
+//! * [`parallel`] — [`measure_parallel`]: independent experiments fanned
+//!   out through [`sizeless_engine::parallel`], with per-experiment RNG
+//!   streams (deterministic regardless of thread interleaving).
 
 pub mod arrival;
 pub mod bursty;
@@ -26,4 +26,4 @@ pub mod parallel;
 pub use arrival::{ArrivalKind, ArrivalProcess};
 pub use bursty::{BurstyArrival, BurstySampler};
 pub use harness::{run_experiment, ExperimentConfig, Measurement, MeasurementSummary};
-pub use parallel::{map_parallel, measure_parallel};
+pub use parallel::measure_parallel;

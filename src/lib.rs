@@ -9,7 +9,7 @@
 //! cost/performance tradeoff. This crate re-exports the whole workspace:
 //!
 //! * [`engine`] — discrete-event simulation core (clock, events, RNG,
-//!   distributions).
+//!   distributions) and the deterministic parallel fan-out.
 //! * [`platform`] — the serverless platform simulator standing in for AWS
 //!   Lambda (resource model, pricing, cold starts, managed services).
 //! * [`workload`] — load generation and the measurement harness.
@@ -22,8 +22,8 @@
 //! * [`neural`] — the from-scratch dense neural network used for
 //!   multi-target regression.
 //! * [`obs`] — deterministic observability: structured trace events,
-//!   zero-cost sinks, a JSONL exporter, and a virtual-time
-//!   metrics registry.
+//!   zero-cost sinks, a JSONL exporter, and virtual-time metrics folded
+//!   from a trace.
 //! * [`core`] — the Sizeless approach itself: dataset generation, feature
 //!   engineering, the predictor, and the memory-size optimizer.
 //! * [`apps`] — the four case-study applications (27 functions).

@@ -568,16 +568,20 @@ fn rng_streams_are_stable_across_runs() {
     );
 }
 
-/// The training-layer fan-outs obey the same contract: a grid search (and
-/// the cross-validation underneath it) fanned out over worker threads must
-/// be **bit-identical** to the serial run, because every configuration and
-/// fold derives its RNG streams from `(seed, job)` alone and results pool
-/// in job order. Pinned here at threads ∈ {1, 4}; the `--threads` knob of
-/// the experiment binaries therefore trades wall-clock time only.
+/// The training-layer fan-outs obey the same contract: a grid search, the
+/// cross-validation underneath it and Table 3's base-size evaluation fanned
+/// out over worker threads must be **bit-identical** to the serial run,
+/// because every configuration and fold derives its RNG streams from
+/// `(seed, job)` alone and results pool in job order. Pinned here at
+/// threads ∈ {1, 4}; the `--threads` knob of the experiment binaries
+/// therefore trades wall-clock time only.
 #[test]
 fn parallel_grid_search_is_bit_identical_to_serial() {
+    use sizeless::core::features::FeatureSet;
+    use sizeless::core::model::evaluate_base_size;
     use sizeless::neural::{
-        cross_validate, grid_search, GridSpec, Loss, Matrix, NetworkConfig, OptimizerKind,
+        cross_validate, grid_search, CrossValReport, GridSpec, Loss, Matrix, NetworkConfig,
+        OptimizerKind,
     };
 
     let mut rng = RngStream::from_seed(21, "det-grid-data");
@@ -619,14 +623,21 @@ fn parallel_grid_search_is_bit_identical_to_serial() {
         batch_size: 16,
         ..NetworkConfig::default()
     };
-    let cv_serial = cross_validate(&x, &y, &cv_cfg, 4, 2, 23, 1);
-    let cv_threaded = cross_validate(&x, &y, &cv_cfg, 4, 2, 23, 4);
-    assert_eq!(cv_serial.mse.to_bits(), cv_threaded.mse.to_bits());
-    assert_eq!(cv_serial.mape.to_bits(), cv_threaded.mape.to_bits());
-    assert_eq!(cv_serial.r_squared.to_bits(), cv_threaded.r_squared.to_bits());
+    let bits =
+        |r: CrossValReport| [r.mse, r.mape, r.r_squared, r.explained_variance].map(f64::to_bits);
+    let cv = |threads| bits(cross_validate(&x, &y, &cv_cfg, 4, 2, 23, threads));
+    assert_eq!(cv(1), cv(4), "cross-validation bits diverged");
+
+    // Table 3's per-base-size evaluation fans out its folds the same way.
+    let ds = TrainingDataset::generate(&Platform::aws_like(), &DatasetConfig::tiny(16));
+    let eval = |threads| {
+        let (base, set) = (MemorySize::MB_256, FeatureSet::F4);
+        evaluate_base_size(&ds, base, set, &cv_cfg, 4, 2, 29, threads)
+    };
     assert_eq!(
-        cv_serial.explained_variance.to_bits(),
-        cv_threaded.explained_variance.to_bits()
+        bits(eval(1)),
+        bits(eval(4)),
+        "base-size evaluation bits diverged"
     );
 }
 

@@ -21,7 +21,7 @@ use sizeless::fleet::{
     WorkloadShift,
 };
 use sizeless::neural::NetworkConfig;
-use sizeless::obs::{trace_metrics, MemorySink, TraceEvent, TraceRecord};
+use sizeless::obs::{trace_metrics, MemorySink, TraceEvent, TraceMetrics, TraceRecord};
 use sizeless::platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
 use sizeless::workload::{ArrivalProcess, BurstyArrival};
 use std::collections::BTreeMap;
@@ -170,20 +170,21 @@ fn audit(region: &str, report: &FleetReport, records: &[TraceRecord]) -> Folded 
     // The `--metrics` snapshot is a fold of the same trace: its counters
     // are the report's numbers.
     let metrics = trace_metrics(records);
-    let series = [
-        ("dispatches", c.completed + c.failed_attempts),
-        ("cold_starts", c.cold_starts),
-        ("throttles", c.throttled()),
-        ("evictions", f.evicted),
-        ("resizes_applied", rs.counters.resizes_applied),
-        ("drift_detections", svc.drift_detections),
-        ("invocation_failures", c.failed_attempts),
-        ("retries_scheduled", c.retries_scheduled),
-        ("host_crashes", faults.host_crashes),
-    ];
-    for (name, want) in series {
-        assert_eq!(metrics.counter_value(name), Some(want as u64), "{region}: metric {name}");
-    }
+    let n = |v: usize| v as u64;
+    let want = TraceMetrics {
+        dispatches: n(c.completed + c.failed_attempts),
+        cold_starts: n(c.cold_starts),
+        throttles: n(c.throttled()),
+        evictions: n(f.evicted),
+        resizes_applied: n(rs.counters.resizes_applied),
+        shadow_routes: metrics.shadow_routes,
+        drift_detections: n(svc.drift_detections),
+        invocation_failures: n(c.failed_attempts),
+        retries_scheduled: n(c.retries_scheduled),
+        host_crashes: n(faults.host_crashes),
+        init_ms: metrics.init_ms.clone(),
+    };
+    assert_eq!(metrics, want, "{region}: metrics vs the report");
     f
 }
 
