@@ -32,7 +32,7 @@ pub mod workflow;
 use sizeless_platform::ResourceProfile;
 use std::fmt;
 
-pub use measurement::{measure_app, AppMeasurement, FunctionMeasurement, MeasurementPlan};
+pub use measurement::{measure_app, AppMeasurement, MeasurementPlan};
 pub use workflow::{simulate_workflow, uniform_sizes, workflows, Workflow, WorkflowStats};
 
 /// One deployed case-study function.
@@ -171,6 +171,13 @@ mod tests {
                 "{app}/{}: bigger memory should not be slower",
                 f.name
             );
+        }
+    }
+
+    #[test]
+    fn function_names_are_their_profiles_names() {
+        for (app, f) in all_functions() {
+            assert_eq!(f.name, f.profile.name(), "{app}");
         }
     }
 

@@ -2,16 +2,16 @@
 //!
 //! The paper measures every case-study function at all six memory sizes
 //! with **ten repetitions** to account for cloud performance variability.
-//! [`measure_app`] reproduces that: per (function, size) it runs the
+//! [`measure_app`] reproduces that through the workload crate's campaign,
+//! [`measure_standard_sizes`]: per (function, size) it runs the
 //! repetitions, averages the summaries, and pools all invocation samples
-//! into one [`MetricVector`] per size (the model input).
+//! into one [`MetricVector`](sizeless_telemetry::MetricVector) per size
+//! (the model input), one [`FunctionRecord`] per function.
 
 use crate::CaseStudyApp;
 use serde::{Deserialize, Serialize};
-use sizeless_engine::parallel_map;
-use sizeless_platform::{MemorySize, Platform, ResourceProfile};
-use sizeless_telemetry::MetricVector;
-use sizeless_workload::{run_experiment, ExperimentConfig, Measurement};
+use sizeless_platform::{Platform, ResourceProfile};
+use sizeless_workload::{measure_standard_sizes, ExperimentConfig, FunctionRecord};
 
 /// How to measure an application.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -41,8 +41,10 @@ impl MeasurementPlan {
         }
     }
 
-    /// A scaled-down plan that keeps the app's workload *shape* but shrinks
-    /// duration and repetitions by `factor` (≥ 1).
+    /// A scaled-down plan: duration and repetitions divided by `factor`
+    /// (≥ 1; repetitions rounded up, floors of 2 s and 2 repetitions), and
+    /// the rate capped at 40 rps whatever the factor, so Airline Booking
+    /// runs at 40 rps instead of its paper's 200 (the other apps at 10).
     pub fn scaled(app: CaseStudyApp, factor: f64) -> Self {
         assert!(factor >= 1.0, "factor must be at least 1");
         let paper = Self::paper(app);
@@ -66,149 +68,45 @@ impl MeasurementPlan {
     }
 }
 
-/// Measurements of one function across all six sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FunctionMeasurement {
-    /// Function name.
-    pub name: String,
-    /// Pooled metric vector per standard size.
-    pub metrics: Vec<MetricVector>,
-    /// Mean execution time per standard size (averaged over repetitions), ms.
-    pub mean_execution_ms: Vec<f64>,
-    /// Mean cost per invocation per standard size, USD.
-    pub mean_cost_usd: Vec<f64>,
-}
-
-impl FunctionMeasurement {
-    /// Pooled metric vector at a standard size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not a standard size.
-    pub fn metrics_at(&self, m: MemorySize) -> &MetricVector {
-        // lint: allow(panic002) reason="documented # Panics contract: m must be one of the six standard sizes"
-        &self.metrics[m.standard_index().expect("standard size")]
-    }
-
-    /// Mean execution time at a standard size, ms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not a standard size.
-    pub fn execution_ms_at(&self, m: MemorySize) -> f64 {
-        // lint: allow(panic002) reason="documented # Panics contract: m must be one of the six standard sizes"
-        self.mean_execution_ms[m.standard_index().expect("standard size")]
-    }
-
-    /// Mean cost per invocation at a standard size, USD.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not a standard size.
-    pub fn cost_usd_at(&self, m: MemorySize) -> f64 {
-        // lint: allow(panic002) reason="documented # Panics contract: m must be one of the six standard sizes"
-        self.mean_cost_usd[m.standard_index().expect("standard size")]
-    }
-
-    /// The measured-optimal ("ground truth") times as a size→ms map.
-    pub fn times_map(&self) -> std::collections::BTreeMap<MemorySize, f64> {
-        MemorySize::STANDARD
-            .iter()
-            .map(|&m| (m, self.execution_ms_at(m)))
-            .collect()
-    }
-}
-
 /// Measurements of one application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppMeasurement {
     /// Which application.
     pub app_name: String,
     /// One entry per function.
-    pub functions: Vec<FunctionMeasurement>,
+    pub functions: Vec<FunctionRecord>,
 }
 
 impl AppMeasurement {
     /// Finds a function's measurement by name.
-    pub fn function(&self, name: &str) -> Option<&FunctionMeasurement> {
+    pub fn function(&self, name: &str) -> Option<&FunctionRecord> {
         self.functions.iter().find(|f| f.name == name)
     }
 }
 
 /// Measures every function of `app` at every standard size with the given
-/// plan.
+/// plan: [`measure_standard_sizes`] with one run per repetition `rep`,
+/// seeded `plan.seed + 1 + rep`.
 pub fn measure_app(platform: &Platform, app: CaseStudyApp, plan: &MeasurementPlan) -> AppMeasurement {
     let functions = app.functions();
-    let sizes = MemorySize::STANDARD.len();
-    // One job per (function, size) runs all its repetitions, so only the
-    // samples of the jobs in flight are held at once.
-    let measured = parallel_map(
-        plan.threads,
-        functions.len() * sizes,
-        || (),
-        |job, _| {
-            let profile = &functions[job / sizes].profile;
-            measure_size(platform, profile, MemorySize::STANDARD[job % sizes], plan)
-        },
-    );
-    let functions_out = functions
-        .iter()
-        .zip(measured.chunks(sizes))
-        .map(|(f, by_size)| FunctionMeasurement {
-            name: f.name.to_string(),
-            metrics: by_size.iter().map(|s| s.metrics.clone()).collect(),
-            mean_execution_ms: by_size.iter().map(|s| s.mean_execution_ms).collect(),
-            mean_cost_usd: by_size.iter().map(|s| s.mean_cost_usd).collect(),
+    let profiles: Vec<&ResourceProfile> = functions.iter().map(|f| &f.profile).collect();
+    let runs: Vec<ExperimentConfig> = (0..plan.repetitions)
+        .map(|rep| ExperimentConfig {
+            duration_ms: plan.duration_ms,
+            rps: plan.rps,
+            seed: plan.seed.wrapping_add(1 + rep as u64),
         })
         .collect();
-
     AppMeasurement {
         app_name: app.name().to_string(),
-        functions: functions_out,
-    }
-}
-
-/// One function's measurement at one size, over all repetitions.
-struct SizeMeasurement {
-    metrics: MetricVector,
-    mean_execution_ms: f64,
-    mean_cost_usd: f64,
-}
-
-/// Runs the plan's repetitions of `profile` at `memory`, pools their samples
-/// into one metric vector and averages their summaries.
-fn measure_size(
-    platform: &Platform,
-    profile: &ResourceProfile,
-    memory: MemorySize,
-    plan: &MeasurementPlan,
-) -> SizeMeasurement {
-    // Each repetition needs an independent stream: seed it by repetition.
-    let reps: Vec<Measurement> = (0..plan.repetitions)
-        .map(|rep| {
-            let cfg = ExperimentConfig {
-                duration_ms: plan.duration_ms,
-                rps: plan.rps,
-                seed: plan.seed.wrapping_add(1 + rep as u64),
-            };
-            run_experiment(platform, profile, memory, &cfg)
-        })
-        .collect();
-    let n = plan.repetitions as f64;
-    SizeMeasurement {
-        metrics: MetricVector::from_samples(reps.iter().flat_map(|r| r.store.samples())),
-        mean_execution_ms: reps
-            .iter()
-            .map(|r| r.summary.mean_execution_ms)
-            .sum::<f64>()
-            / n,
-        mean_cost_usd: reps.iter().map(|r| r.summary.mean_cost_usd).sum::<f64>() / n,
+        functions: measure_standard_sizes(platform, &profiles, &runs, plan.threads),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sizeless_platform::MemorySize;
 
     #[test]
     fn measures_every_function_and_size() {
@@ -229,31 +127,6 @@ mod tests {
         }
         assert!(m.function("PersistMetadata").is_some());
         assert!(m.function("NoSuchFunction").is_none());
-    }
-
-    #[test]
-    fn measurement_is_deterministic() {
-        let platform = Platform::aws_like();
-        let a = measure_app(
-            &platform,
-            CaseStudyApp::EventProcessing,
-            &MeasurementPlan::quick(),
-        );
-        let b = measure_app(
-            &platform,
-            CaseStudyApp::EventProcessing,
-            &MeasurementPlan::quick(),
-        );
-        let serial = measure_app(
-            &platform,
-            CaseStudyApp::EventProcessing,
-            &MeasurementPlan {
-                threads: 1,
-                ..MeasurementPlan::quick()
-            },
-        );
-        assert_eq!(a, b);
-        assert_eq!(a, serial);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * `--seed <u64>` — master seed (default 0);
 //! * `--scale <f64>` — ≥ 1 shrinks dataset sizes / durations / epochs for
-//!   quick runs (default 5; use `--scale 1` for the paper-scale run);
+//!   quick runs (default 5). `--scale 1` trains on the paper's dataset; the
+//!   case-study apps stay scaled ([`ExperimentContext::app_measurements`]);
 //! * `--out <dir>` — results directory (default `results/`);
 //! * `--threads <usize>` — worker threads for measurement and training
 //!   fan-outs (default: the machine's available parallelism). Results are
@@ -53,7 +54,7 @@ use std::path::{Path, PathBuf};
 pub struct ExperimentContext {
     /// Master seed.
     pub seed: u64,
-    /// Scale divisor (1 = paper scale).
+    /// Scale divisor (1 = the paper's dataset; see [`Self::app_measurements`]).
     pub scale: f64,
     /// Output directory for JSON results.
     pub out_dir: PathBuf,
@@ -79,7 +80,9 @@ pub const USAGE: &str = "\
 Shared experiment flags:
   --seed <u64>       master seed for all random streams        (default 0)
   --scale <f64>      >= 1; divides dataset sizes, durations,
-                     and epochs for quick runs; 1 = paper scale (default 5)
+                     and epochs for quick runs. 1 = the paper's
+                     dataset; the apps still run 3 repetitions
+                     at 1/4 paper duration and <= 40 rps        (default 5)
   --out <dir>        directory JSON results are written to     (default results/)
   --threads <usize>  worker threads for measurement/training
                      fan-outs; results are bit-identical for
@@ -387,8 +390,11 @@ impl ExperimentContext {
 
 impl ExperimentContext {
     /// Measures all four case-study applications (with caching), returning
-    /// them in the paper's order. The paper's plans (10 repetitions of the
-    /// app workloads) are divided by `scale`.
+    /// them in the paper's order. Each plan is
+    /// [`MeasurementPlan::scaled`](sizeless_apps::MeasurementPlan::scaled)
+    /// by `4 × scale`, which also caps the rate at 40 rps: at `--scale 1`
+    /// every app runs 3 repetitions (the paper's 10) at a quarter of its
+    /// paper duration, and Airline Booking runs at 40 rps instead of 200.
     pub fn app_measurements(
         &self,
         platform: &Platform,

@@ -21,7 +21,7 @@ use crate::optimizer::{MemoryOptimizer, OptimizationOutcome};
 use serde::{Deserialize, Serialize};
 use sizeless_engine::RngStream;
 use sizeless_platform::{MemorySize, Platform, ResourceProfile};
-use sizeless_workload::{run_experiment, ExperimentConfig};
+use sizeless_workload::{measure_standard_sizes, run_experiment, ExperimentConfig};
 use std::collections::BTreeMap;
 
 /// The outcome of a baseline optimization run.
@@ -50,21 +50,17 @@ impl PowerTuning {
         PowerTuning { test }
     }
 
-    /// Runs one performance test per standard size and optimizes over the
-    /// measured means.
+    /// Runs one performance test per standard size ([`measure_standard_sizes`]
+    /// on one worker) and optimizes over the measured means.
     pub fn optimize(
         &self,
         platform: &Platform,
         profile: &ResourceProfile,
         optimizer: &MemoryOptimizer,
     ) -> BaselineOutcome {
-        let times_ms: BTreeMap<MemorySize, f64> = MemorySize::STANDARD
-            .iter()
-            .map(|&m| {
-                let measurement = run_experiment(platform, profile, m, &self.test);
-                (m, measurement.summary.mean_execution_ms)
-            })
-            .collect();
+        let times_ms = measure_standard_sizes(platform, &[profile], &[self.test], 1)
+            .remove(0)
+            .times_map();
         let outcome = optimizer.optimize_times(&times_ms);
         BaselineOutcome {
             chosen: outcome.chosen,

@@ -2,18 +2,17 @@
 //!
 //! The paper measures 2 000 synthetic functions at six memory sizes, ten
 //! minutes each at 30 rps (12 000 experiments, 216 million executions). The
-//! simulated equivalent runs the same workloads through the measurement
-//! harness and keeps, per function and memory size, the aggregated
-//! [`MetricVector`] plus the mean execution time — exactly the inputs the
-//! regression model consumes.
+//! simulated equivalent measures each function once per size through
+//! [`measure_standard_sizes`] and keeps one [`FunctionRecord`] per function:
+//! the aggregated metric vector plus the mean execution time and cost per
+//! size — exactly the inputs the regression model consumes.
 
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
-use sizeless_engine::{parallel_map, RngStream};
+use sizeless_engine::RngStream;
 use sizeless_funcgen::{FunctionGenerator, GeneratorConfig};
-use sizeless_platform::{MemorySize, Platform};
-use sizeless_workload::{run_experiment, ExperimentConfig};
-use sizeless_telemetry::MetricVector;
+use sizeless_platform::Platform;
+use sizeless_workload::{measure_standard_sizes, ExperimentConfig, FunctionRecord};
 use std::path::Path;
 
 /// Configuration of dataset generation.
@@ -21,7 +20,10 @@ use std::path::Path;
 pub struct DatasetConfig {
     /// Number of synthetic functions (paper: 2 000).
     pub function_count: usize,
-    /// Per-experiment workload (paper: 10 min at 30 rps).
+    /// Per-experiment workload (paper: 10 min at 30 rps). Its own `seed`
+    /// draws nothing: [`TrainingDataset::generate`] measures with the
+    /// master `seed` plus `0x5EED` instead. It still enters
+    /// [`DatasetConfig::identity`], so it keys the cache and the artifact.
     pub experiment: ExperimentConfig,
     /// Generator bounds.
     pub generator: GeneratorConfig,
@@ -93,48 +95,6 @@ impl Default for DatasetConfig {
     }
 }
 
-/// One function's measurements across all six standard memory sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FunctionRecord {
-    /// Function name.
-    pub name: String,
-    /// Aggregated metric vector per standard size (index = standard-size
-    /// index).
-    pub metrics: Vec<MetricVector>,
-    /// Mean execution time per standard size, ms.
-    pub mean_execution_ms: Vec<f64>,
-    /// Mean cost per invocation per standard size, USD.
-    pub mean_cost_usd: Vec<f64>,
-}
-
-impl FunctionRecord {
-    /// The metric vector at a standard size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not one of the six standard sizes.
-    pub fn metrics_at(&self, m: MemorySize) -> &MetricVector {
-        // lint: allow(panic002) reason="documented # Panics contract: m must be one of the six standard sizes"
-        &self.metrics[m.standard_index().expect("standard size")]
-    }
-
-    /// Mean execution time at a standard size, ms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not one of the six standard sizes.
-    pub fn execution_ms_at(&self, m: MemorySize) -> f64 {
-        // lint: allow(panic002) reason="documented # Panics contract: m must be one of the six standard sizes"
-        self.mean_execution_ms[m.standard_index().expect("standard size")]
-    }
-
-    /// The execution-time ratio `time(target) / time(base)` — the model's
-    /// prediction target.
-    pub fn ratio(&self, base: MemorySize, target: MemorySize) -> f64 {
-        self.execution_ms_at(target) / self.execution_ms_at(base)
-    }
-}
-
 /// The full training dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainingDataset {
@@ -148,50 +108,15 @@ impl TrainingDataset {
     /// Generates the dataset on the given platform.
     ///
     /// Functions are generated with the synthetic function generator, then
-    /// measured at every standard memory size via the parallel harness.
+    /// measured at every standard size on `cfg.threads` workers.
     pub fn generate(platform: &Platform, cfg: &DatasetConfig) -> Self {
         let mut gen_rng = RngStream::from_seed(cfg.seed, "dataset-funcgen");
         let mut generator = FunctionGenerator::new(cfg.generator);
         let functions = generator.generate_many(cfg.function_count, &mut gen_rng);
 
-        let jobs: Vec<(&sizeless_platform::ResourceProfile, MemorySize)> = functions
-            .iter()
-            .flat_map(|f| MemorySize::STANDARD.iter().map(move |&m| (&f.profile, m)))
-            .collect();
+        let profiles: Vec<_> = functions.iter().map(|f| &f.profile).collect();
         let experiment = cfg.experiment.with_seed(cfg.seed.wrapping_add(0x5EED));
-        // Keep only each experiment's aggregates, so the samples of the
-        // jobs in flight are all that is held at once.
-        let measurements = parallel_map(
-            cfg.threads,
-            jobs.len(),
-            || (),
-            |i, _| {
-                let (profile, memory) = jobs[i];
-                let m = run_experiment(platform, profile, memory, &experiment);
-                (m.metrics, m.summary)
-            },
-        );
-
-        let records = functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let base = i * MemorySize::STANDARD.len();
-                let slice = &measurements[base..base + MemorySize::STANDARD.len()];
-                FunctionRecord {
-                    name: f.profile.name().to_string(),
-                    metrics: slice.iter().map(|(metrics, _)| metrics.clone()).collect(),
-                    mean_execution_ms: slice
-                        .iter()
-                        .map(|(_, summary)| summary.mean_execution_ms)
-                        .collect(),
-                    mean_cost_usd: slice
-                        .iter()
-                        .map(|(_, summary)| summary.mean_cost_usd)
-                        .collect(),
-                }
-            })
-            .collect();
+        let records = measure_standard_sizes(platform, &profiles, &[experiment], cfg.threads);
 
         TrainingDataset {
             config: *cfg,
@@ -234,6 +159,7 @@ impl TrainingDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sizeless_platform::MemorySize;
 
     fn tiny_dataset() -> TrainingDataset {
         TrainingDataset::generate(&Platform::aws_like(), &DatasetConfig::tiny(4))
@@ -261,17 +187,6 @@ mod tests {
             let t3008 = r.execution_ms_at(MemorySize::MB_3008);
             assert!(t3008 <= t128 * 1.15, "{}: {t128} → {t3008}", r.name);
         }
-    }
-
-    #[test]
-    fn ratios_are_consistent() {
-        let ds = tiny_dataset();
-        let r = &ds.records[0];
-        let ratio = r.ratio(MemorySize::MB_256, MemorySize::MB_1024);
-        let manual =
-            r.execution_ms_at(MemorySize::MB_1024) / r.execution_ms_at(MemorySize::MB_256);
-        assert_eq!(ratio, manual);
-        assert_eq!(r.ratio(MemorySize::MB_256, MemorySize::MB_256), 1.0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod service;
 pub mod trainer;
 
 pub use baselines::{BaselineOutcome, CoseOptimizer, PowerTuning};
-pub use dataset::{DatasetConfig, FunctionRecord, TrainingDataset};
+pub use dataset::{DatasetConfig, TrainingDataset};
 pub use error::CoreError;
 pub use drift::{detect_drift, DriftConfig, DriftReport};
 pub use features::{FeatureDef, FeatureKind, FeatureSet};

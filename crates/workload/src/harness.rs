@@ -100,6 +100,22 @@ pub fn run_experiment(
     memory: MemorySize,
     cfg: &ExperimentConfig,
 ) -> Measurement {
+    let (store, summary) = measure(platform, profile, memory, cfg);
+    Measurement {
+        metrics: MetricVector::from_store(&store),
+        store,
+        summary,
+    }
+}
+
+/// [`run_experiment`] without the aggregate: the samples and the summary,
+/// for callers that pool the samples of several runs.
+pub(crate) fn measure(
+    platform: &Platform,
+    profile: &ResourceProfile,
+    memory: MemorySize,
+    cfg: &ExperimentConfig,
+) -> (MetricStore, MeasurementSummary) {
     let stream_label = format!("exp/{}/{}", profile.name(), memory);
     let rng = RngStream::from_seed(cfg.seed, &stream_label);
     let mut arrival_rng = rng.derive("arrivals");
@@ -134,7 +150,6 @@ pub fn run_experiment(
         store.record(monitor.observe(at, &record.usage, &mut monitor_rng));
     }
 
-    let metrics = MetricVector::from_store(&store);
     let n = arrivals.len();
     let summary = MeasurementSummary {
         function: profile.name().to_string(),
@@ -145,11 +160,7 @@ pub fn run_experiment(
         total_cost_usd: total_cost,
         mean_cost_usd: total_cost / n as f64,
     };
-    Measurement {
-        store,
-        metrics,
-        summary,
-    }
+    (store, summary)
 }
 
 #[cfg(test)]

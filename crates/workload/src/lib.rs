@@ -14,16 +14,21 @@
 //! * [`harness`] — [`run_experiment`]: one
 //!   (function, memory size) performance test producing a
 //!   [`Measurement`] (metric store + summary).
+//! * [`campaign`] — [`measure_standard_sizes`]: every function at all six
+//!   sizes, repetitions pooled into one [`FunctionRecord`] (the training
+//!   dataset, the case-study apps and Power Tuning).
 //! * [`parallel`] — [`measure_parallel`]: independent experiments fanned
 //!   out through [`sizeless_engine::parallel`], with per-experiment RNG
 //!   streams (deterministic regardless of thread interleaving).
 
 pub mod arrival;
 pub mod bursty;
+pub mod campaign;
 pub mod harness;
 pub mod parallel;
 
 pub use arrival::{ArrivalKind, ArrivalProcess};
 pub use bursty::{BurstyArrival, BurstySampler};
+pub use campaign::{measure_standard_sizes, FunctionRecord};
 pub use harness::{run_experiment, ExperimentConfig, Measurement, MeasurementSummary};
 pub use parallel::measure_parallel;
